@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -34,13 +34,11 @@ __all__ = [
     "Shifted",
     "LogApprox",
     "FunctionSpec",
-    "SupportClassification",
     "ConcavityReport",
     "BarycenterEstimate",
     "evaluate",
     "evaluate_batch",
     "profile_batch",
-    "classify_support",
     "validate_concavity",
     "barycenter",
     "spec_from_json",
@@ -51,11 +49,13 @@ __all__ = [
     "axis_extents",
     "conv_support_contains",
     "support_samples",
+    "grid_support_nodes",
     "sup_value",
     "is_indicator",
 ]
 
-EPS_TAIL = 1e-12  # default tail cutoff for truncating unbounded supports
+EPS_TAIL = 1e-12  # tail cutoff for truncating unbounded supports
+_GRID_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +163,16 @@ class FunctionSpec:
         cc = self.concavity_class
         return cc.s if isinstance(cc, SConcave) else None
 
+    @cached_property
+    def radial(self) -> Optional["RadialInfo"]:
+        """Radial description of f, or None; computed once per spec."""
+        return _radial(self)
+
+    @cached_property
+    def support(self) -> Union["_Ball", "_Polytope"]:
+        """conv supp f, truncated at EPS_TAIL; computed once per spec."""
+        return _support(self)
+
 
 def _vec(v, d, what):
     a = np.asarray(v, dtype=float)
@@ -193,7 +203,7 @@ def _validate_spec(spec: FunctionSpec) -> None:
         V = np.asarray(fam.vertices, dtype=float)
         if V.ndim != 2 or V.shape[1] != d or V.shape[0] < d + 1:
             raise InputError("polytope needs at least d+1 vertices of dimension d")
-        _polytope_inequalities(fam.vertices, d)  # raises on empty interior
+        spec.support  # raises on empty interior
     elif isinstance(fam, HhatPower):
         if not fam.s_exponent > 0:
             raise InputError("hhat_power exponent must be positive")
@@ -256,14 +266,6 @@ def _validate_grid_support(vals: np.ndarray) -> None:
     # nonempty interior: at least one cell with all 2^d corners positive
     core = pos
     for ax in range(vals.ndim):
-        sl_lo = [slice(None)] * vals.ndim
-        sl_hi = [slice(None)] * vals.ndim
-        sl_lo[ax] = slice(0, -1)
-        sl_hi[ax] = slice(1, None)
-        core = core[tuple(sl_lo)] & pos[tuple(sl_hi)] if ax == 0 else core & pos[tuple(sl_hi)][..., :][tuple()]
-    # simpler recomputation (the loop above is awkward to fuse):
-    core = pos
-    for ax in range(vals.ndim):
         lo = [slice(None)] * vals.ndim
         hi = [slice(None)] * vals.ndim
         lo[ax] = slice(0, -1)
@@ -293,8 +295,8 @@ def evaluate_batch(spec: FunctionSpec, X: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(X - np.asarray(fam.center), axis=1)
         return (r <= fam.radius).astype(float)
     if isinstance(fam, PolytopeIndicator):
-        A, b = _polytope_inequalities(fam.vertices, spec.dimension)
-        inside = np.all(X @ A.T <= b + 1e-12, axis=1)
+        P = spec.support
+        inside = np.all(X @ P.A.T <= P.b + 1e-12, axis=1)
         return inside.astype(float)
     if isinstance(fam, HhatPower):
         r2 = np.sum(X * X, axis=1)
@@ -312,7 +314,9 @@ def evaluate_batch(spec: FunctionSpec, X: np.ndarray) -> np.ndarray:
             lg = np.log(inner)
         return np.maximum(0.0, 1.0 + lg / fam.s) ** fam.s
     if isinstance(fam, GridProfile):
-        p = _grid_interp_profile(spec, X)
+        # row blocks bound the interpolation's temporaries (~200 bytes a row, d = 2)
+        p = np.concatenate([_grid_interp_profile(spec, X[a:a + _GRID_BLOCK])
+                            for a in range(0, len(X), _GRID_BLOCK)] or [np.empty(0)])
         if spec.is_log_concave:
             out = np.exp(p)
             out[~np.isfinite(p)] = 0.0
@@ -333,12 +337,10 @@ def profile_batch(spec: FunctionSpec, X: np.ndarray) -> np.ndarray:
     return f ** (1.0 / spec.class_s)
 
 
-@lru_cache(maxsize=256)
-def _polytope_inequalities(vertices: tuple, d: int):
-    """Facet inequalities A x <= b of conv(vertices); raises InputError if the
+def _polytope_inequalities(V: np.ndarray):
+    """Facet inequalities A x <= b of conv(rows of V); raises InputError if the
     hull is degenerate (empty interior)."""
-    V = np.asarray(vertices, dtype=float)
-    if d == 1:
+    if V.shape[1] == 1:
         lo, hi = V[:, 0].min(), V[:, 0].max()
         if hi - lo <= 0:
             raise InputError("polytope has empty interior")
@@ -392,22 +394,14 @@ def _grid_interp_profile(spec: FunctionSpec, X: np.ndarray) -> np.ndarray:
     for k in range(1, d):
         w[:, k] = fr_sorted[:, k - 1] - fr_sorted[:, k]
     w[:, d] = fr_sorted[:, d - 1]
-    vert = np.repeat(c[:, None, :], d + 1, axis=1)
+    # vertex k = cell + sum of e_{order[0..k-1]}, as a flat index into nodes
+    flat = np.ravel_multi_index(tuple(c.T), vals.shape)
+    step = np.ravel_multi_index(tuple(np.eye(d, dtype=int)), vals.shape)
+    node_vals = np.empty((c.shape[0], d + 1))
+    node_vals[:, 0] = nodes.flat[flat]
     for k in range(1, d + 1):
-        rows = np.arange(c.shape[0])
-        for j in range(k):
-            vert[rows, k, order[:, j]] += 0  # placeholder, filled below
-    # vertex k = cell + sum of e_{order[0..k-1]}
-    vert = np.repeat(c[:, None, :], d + 1, axis=1)
-    for k in range(1, d + 1):
-        ax = order[:, k - 1]
-        vert[np.arange(c.shape[0]), k, ax] = vert[np.arange(c.shape[0]), k - 1, ax] + 1
-        # carry earlier increments forward
-        if k >= 2:
-            prev = vert[:, k - 1, :].copy()
-            prev[np.arange(c.shape[0]), ax] += 1
-            vert[:, k, :] = prev
-    node_vals = nodes[tuple(vert.reshape(-1, d).T)].reshape(-1, d + 1)
+        flat += step[order[:, k - 1]]
+        node_vals[:, k] = nodes.flat[flat]
     with np.errstate(invalid="ignore"):
         contrib = w * node_vals
     # a zero-weight vertex never contributes, even at -inf nodes
@@ -431,7 +425,7 @@ class RadialInfo:
     f_rad: object  # vectorized profile of rho
     indicator: bool = False
 
-    def truncated_radius(self, eps_tail: float = EPS_TAIL) -> float:
+    def truncated_radius(self, eps_tail: float) -> float:
         if np.isfinite(self.radius):
             return self.radius
         lo, hi = 0.0, 1.0
@@ -448,9 +442,7 @@ class RadialInfo:
         return hi
 
 
-def radial_info(spec: FunctionSpec) -> Optional[RadialInfo]:
-    """Radial description of the spec, or None if the family is not a radial
-    profile around a fixed center."""
+def _radial(spec: FunctionSpec) -> Optional[RadialInfo]:
     fam = spec.family
     d = spec.dimension
     if isinstance(fam, BallIndicator):
@@ -470,13 +462,13 @@ def radial_info(spec: FunctionSpec) -> Optional[RadialInfo]:
         return RadialInfo(np.zeros(d), np.inf,
                           lambda r: np.exp(-a * np.asarray(r)))
     if isinstance(fam, Shifted):
-        ri = radial_info(fam.inner)
+        ri = fam.inner.radial
         if ri is None:
             return None
         return RadialInfo(ri.center + np.asarray(fam.offset), ri.radius, ri.f_rad,
                           ri.indicator)
     if isinstance(fam, LogApprox):
-        ri = radial_info(fam.inner)
+        ri = fam.inner.radial
         if ri is None:
             return None
         s = fam.s
@@ -487,10 +479,15 @@ def radial_info(spec: FunctionSpec) -> Optional[RadialInfo]:
             return np.maximum(0.0, 1.0 + lg / _s) ** _s
 
         # support radius: where log f_inner drops to -s
-        sub = RadialInfo(ri.center, ri.radius, ri.f_rad)
-        radius = min(ri.radius, sub.truncated_radius(math.exp(-s)))
+        radius = min(ri.radius, ri.truncated_radius(math.exp(-s)))
         return RadialInfo(ri.center, radius, f_rad)
     return None
+
+
+def radial_info(spec: FunctionSpec) -> Optional[RadialInfo]:
+    """Radial description of the spec, or None if the family is not a radial
+    profile around a fixed center."""
+    return spec.radial
 
 
 def is_indicator(spec: FunctionSpec) -> bool:
@@ -502,145 +499,151 @@ def is_indicator(spec: FunctionSpec) -> bool:
     return False
 
 
-def support_box(spec: FunctionSpec, eps_tail: float = EPS_TAIL):
-    """Axis-aligned bounding box (lo, hi) of the (truncated) support."""
-    fam = spec.family
-    d = spec.dimension
-    ri = radial_info(spec)
-    if ri is not None:
-        R = ri.truncated_radius(eps_tail)
-        return ri.center - R, ri.center + R
-    if isinstance(fam, PolytopeIndicator):
-        V = np.asarray(fam.vertices, dtype=float)
-        return V.min(axis=0), V.max(axis=0)
-    if isinstance(fam, GridProfile):
-        pos = np.argwhere(np.asarray(fam.values) > 0)
-        org = np.asarray(fam.origin)
-        return (org + (pos.min(axis=0) - 1).clip(0) * fam.spacing,
-                org + (pos.max(axis=0) + 1).clip(max=np.asarray(fam.values.shape) - 1)
-                * fam.spacing)
-    if isinstance(fam, Shifted):
-        lo, hi = support_box(fam.inner, eps_tail)
-        off = np.asarray(fam.offset)
-        return lo + off, hi + off
-    raise InputError("unhandled family in support_box")
+@dataclass(frozen=True)
+class _Ball:
+    """The ball |x - center| <= radius."""
 
+    center: np.ndarray
+    radius: float
 
-def _support_points(spec: FunctionSpec):
-    """Points whose convex hull contains (a truncation of) supp f; used for
-    polytope and grid geometry."""
-    fam = spec.family
-    if isinstance(fam, PolytopeIndicator):
-        return np.asarray(fam.vertices, dtype=float)
-    if isinstance(fam, GridProfile):
-        pos = np.argwhere(np.asarray(fam.values) > 0)
-        return np.asarray(fam.origin) + pos * fam.spacing
-    if isinstance(fam, Shifted):
-        return _support_points(fam.inner) + np.asarray(fam.offset)
-    return None
+    @property
+    def lo(self) -> np.ndarray:
+        return self.center - self.radius
 
+    @property
+    def hi(self) -> np.ndarray:
+        return self.center + self.radius
 
-def supp_support_function(spec: FunctionSpec, Y: np.ndarray,
-                          eps_tail: float = EPS_TAIL) -> np.ndarray:
-    """h_{supp f}(y) over rows of Y.  Unbounded supports are truncated."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    ri = radial_info(spec)
-    if ri is not None:
-        R = ri.truncated_radius(eps_tail)
-        return Y @ ri.center + R * np.linalg.norm(Y, axis=1)
-    pts = _support_points(spec)
-    if pts is not None:
-        return (Y @ pts.T).max(axis=1)
-    raise InputError("unhandled family in supp_support_function")
+    def support_function(self, Y: np.ndarray) -> np.ndarray:
+        return Y @ self.center + self.radius * np.linalg.norm(Y, axis=1)
 
+    def margin(self, x: np.ndarray) -> float:
+        """Positive inside, zero on the boundary, negative outside."""
+        return self.radius - float(np.linalg.norm(x - self.center))
 
-def axis_extents(spec: FunctionSpec, z: np.ndarray,
-                 eps_tail: float = EPS_TAIL):
-    """Per-axis reach (r_minus, r_plus) of supp f - z along -e_i / +e_i.
-
-    Requires z in the interior of (the truncation of) conv supp f.
-    """
-    d = spec.dimension
-    z = np.asarray(z, dtype=float)
-    ri = radial_info(spec)
-    if ri is not None:
-        R = ri.truncated_radius(eps_tail)
-        c = ri.center - z
-        if np.linalg.norm(c) >= R:
-            raise NumericError("center outside the support")
-        rp = np.empty(d)
-        rm = np.empty(d)
-        for i in range(d):
-            rest = np.sum(c * c) - c[i] ** 2
-            root = math.sqrt(R * R - rest)
-            rp[i] = c[i] + root
-            rm[i] = -c[i] + root
-        return rm, rp
-    pts = _support_points(spec)
-    if pts is not None:
-        if d == 1:
-            lo, hi = pts[:, 0].min(), pts[:, 0].max()
-            if not (lo < z[0] < hi):
-                raise NumericError("center outside the support")
-            return np.array([z[0] - lo]), np.array([hi - z[0]])
-        A, b = _polytope_inequalities(tuple(map(tuple, pts)), d)
-        slack = b - A @ z
-        if np.any(slack <= 0):
-            raise NumericError("center outside the support")
-        rp = np.empty(d)
-        rm = np.empty(d)
-        for i in range(d):
-            pos = A[:, i] > 1e-14
-            neg = A[:, i] < -1e-14
-            rp[i] = np.min(slack[pos] / A[pos, i]) if pos.any() else np.inf
-            rm[i] = np.min(slack[neg] / -A[neg, i]) if neg.any() else np.inf
-        return rm, rp
-    raise InputError("unhandled family in axis_extents")
-
-
-def support_ray_extent(spec: FunctionSpec, z, direction,
-                       eps_tail: float = EPS_TAIL) -> float:
-    """max r with z + r * direction in the (truncated) convex support hull."""
-    z = _vec(z, spec.dimension, "point")
-    u = np.asarray(direction, dtype=float)
-    u = u / np.linalg.norm(u)
-    ri = radial_info(spec)
-    if ri is not None:
-        R = ri.truncated_radius(eps_tail)
-        c = z - ri.center
+    def ray_extent(self, z: np.ndarray, u: np.ndarray) -> float:
+        c = z - self.center
         b = float(c @ u)
-        disc = b * b - (float(c @ c) - R * R)
+        disc = b * b - (float(c @ c) - self.radius**2)
         if disc < 0:
             raise NumericError("ray start outside the support")
         return -b + math.sqrt(disc)
-    pts = _support_points(spec)
-    if pts is not None:
-        if spec.dimension == 1:
-            hi = pts[:, 0].max() if u[0] > 0 else pts[:, 0].min()
-            return (hi - z[0]) / u[0]
-        A, b = _polytope_inequalities(tuple(map(tuple, pts)), spec.dimension)
-        slack = b - A @ z
-        rate = A @ u
+
+
+@dataclass(frozen=True)
+class _Polytope:
+    """conv(points) = {x : A x <= b}, inside the axis box [lo, hi]."""
+
+    points: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @classmethod
+    def hull(cls, points: np.ndarray, lo, hi) -> "_Polytope":
+        return cls(points, *_polytope_inequalities(points), lo, hi)
+
+    def translated(self, offset: np.ndarray) -> "_Polytope":
+        return _Polytope.hull(self.points + offset, self.lo + offset, self.hi + offset)
+
+    def support_function(self, Y: np.ndarray) -> np.ndarray:
+        return (Y @ self.points.T).max(axis=1)
+
+    def margin(self, x: np.ndarray) -> float:
+        """Positive inside, zero on the boundary, negative outside."""
+        return float(np.min(self.b - self.A @ x))
+
+    def ray_extent(self, z: np.ndarray, u: np.ndarray) -> float:
+        slack = self.b - self.A @ z
+        rate = self.A @ u
         pos = rate > 1e-14
         if not pos.any():
             return np.inf
         return float(np.min(slack[pos] / rate[pos]))
-    raise InputError("unhandled family in support_ray_extent")
 
 
-def conv_support_contains(spec: FunctionSpec, x, tol: float = 0.0,
-                          eps_tail: float = EPS_TAIL) -> bool:
-    x = _vec(x, spec.dimension, "point")
-    ri = radial_info(spec)
+def _support(spec: FunctionSpec) -> Union[_Ball, _Polytope]:
+    ri = spec.radial
     if ri is not None:
-        return np.linalg.norm(x - ri.center) <= ri.truncated_radius(eps_tail) + tol
-    pts = _support_points(spec)
-    if pts is not None:
-        if spec.dimension == 1:
-            return pts[:, 0].min() - tol <= x[0] <= pts[:, 0].max() + tol
-        A, b = _polytope_inequalities(tuple(map(tuple, pts)), spec.dimension)
-        return bool(np.all(A @ x <= b + tol))
-    raise InputError("unhandled family in conv_support_contains")
+        return _Ball(ri.center, ri.truncated_radius(EPS_TAIL))
+    fam = spec.family
+    if isinstance(fam, PolytopeIndicator):
+        V = np.asarray(fam.vertices, dtype=float)
+        return _Polytope.hull(V, V.min(axis=0), V.max(axis=0))
+    if isinstance(fam, GridProfile):
+        return _grid_support(spec)
+    if isinstance(fam, Shifted):
+        return fam.inner.support.translated(np.asarray(fam.offset))
+    raise InputError(f"no support geometry for family {fam.kind}")
+
+
+def grid_support_nodes(spec: FunctionSpec) -> np.ndarray:
+    """Mask of the nodes of a GridProfile spec whose convex hull is conv supp f.
+
+    Log-concave: the positive nodes.  s-concave: f^(1/s) is linear on each
+    Kuhn simplex, so f > 0 also reaches towards the zero nodes p + delta,
+    delta in {0,1}^d or {0,-1}^d, that share a simplex with a positive node p.
+    """
+    pos = np.asarray(spec.family.values) > 0
+    if spec.is_log_concave:
+        return pos
+    from scipy import ndimage
+
+    delta = np.indices((3,) * spec.dimension) - 1
+    star = np.all(delta >= 0, axis=0) | np.all(delta <= 0, axis=0)
+    return ndimage.binary_dilation(pos, structure=star)
+
+
+def _grid_support(spec: FunctionSpec) -> _Polytope:
+    """Hull of the support nodes, inside the box of the positive nodes padded
+    by one cell where the grid allows."""
+    fam = spec.family
+    org = np.asarray(fam.origin)
+    pos = np.argwhere(np.asarray(fam.values) > 0)
+    return _Polytope.hull(
+        org + np.argwhere(grid_support_nodes(spec)) * fam.spacing,
+        org + (pos.min(axis=0) - 1).clip(0) * fam.spacing,
+        org + (pos.max(axis=0) + 1).clip(max=np.asarray(fam.values.shape) - 1) * fam.spacing)
+
+
+def support_box(spec: FunctionSpec):
+    """Axis-aligned bounding box (lo, hi) of supp f; an unbounded support is
+    truncated where f drops to EPS_TAIL."""
+    return spec.support.lo, spec.support.hi
+
+
+def supp_support_function(spec: FunctionSpec, Y: np.ndarray) -> np.ndarray:
+    """h_{supp f}(y) over rows of Y; an unbounded support is truncated where f
+    drops to EPS_TAIL."""
+    return spec.support.support_function(np.atleast_2d(np.asarray(Y, dtype=float)))
+
+
+def axis_extents(spec: FunctionSpec, z: np.ndarray):
+    """Per-axis reach (r_minus, r_plus) of conv supp f - z along -e_i / +e_i;
+    an unbounded support is truncated where f drops to EPS_TAIL.
+
+    Requires z in the interior of the (truncated) conv supp f.
+    """
+    z = np.asarray(z, dtype=float)
+    if spec.support.margin(z) <= 0:
+        raise NumericError("center outside the support")
+    E = np.eye(spec.dimension)
+    return (np.array([support_ray_extent(spec, z, -e) for e in E]),
+            np.array([support_ray_extent(spec, z, e) for e in E]))
+
+
+def support_ray_extent(spec: FunctionSpec, z, direction) -> float:
+    """max r with z + r * direction in conv supp f; an unbounded support is
+    truncated where f drops to EPS_TAIL."""
+    u = np.asarray(direction, dtype=float)
+    return spec.support.ray_extent(_vec(z, spec.dimension, "point"), u / np.linalg.norm(u))
+
+
+def conv_support_contains(spec: FunctionSpec, x, tol: float = 0.0) -> bool:
+    """x within tol of conv supp f; an unbounded support is truncated where f
+    drops to EPS_TAIL."""
+    return spec.support.margin(_vec(x, spec.dimension, "point")) >= -tol
 
 
 def sup_value(spec: FunctionSpec) -> float:
@@ -660,12 +663,12 @@ def sup_value(spec: FunctionSpec) -> float:
     raise InputError("unhandled family in sup_value")
 
 
-def support_samples(spec: FunctionSpec, n: int, seed: int,
-                    eps_tail: float = EPS_TAIL) -> np.ndarray:
+def support_samples(spec: FunctionSpec, n: int, seed: int) -> np.ndarray:
     """n points sampled uniformly from {f > 0} by rejection in the bounding
-    box of the (truncated) support."""
+    box of supp f; an unbounded support is truncated where f drops to
+    EPS_TAIL."""
     rng = np.random.default_rng(seed)
-    lo, hi = support_box(spec, eps_tail)
+    lo, hi = support_box(spec)
     out = []
     got = 0
     for _ in range(1000):
@@ -682,59 +685,7 @@ def support_samples(spec: FunctionSpec, n: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# classification, concavity validation, barycenter
-
-
-@dataclass(frozen=True)
-class SupportClassification:
-    kind: str  # "interior" | "boundary" | "outside"
-    tolerance: float
-
-
-def classify_support(spec: FunctionSpec, x, tol: float) -> SupportClassification:
-    """Interior iff a ball of radius tol around x lies in {f > 0}."""
-    if tol <= 0:
-        raise InputError("tol must be positive")
-    x = _vec(x, spec.dimension, "point")
-    fam = spec.family
-    ri = radial_info(spec)
-    if ri is not None and not np.isfinite(ri.radius):
-        return SupportClassification("interior", tol)  # full support
-    if ri is not None:
-        dist = ri.radius - np.linalg.norm(x - ri.center)
-        if dist > tol:
-            return SupportClassification("interior", tol)
-        if dist >= -tol:
-            return SupportClassification("boundary", tol)
-        return SupportClassification("outside", tol)
-    if isinstance(fam, Shifted):
-        return classify_support(fam.inner, x - np.asarray(fam.offset), tol)
-    pts = _support_points(spec)
-    if isinstance(fam, PolytopeIndicator) or (
-        isinstance(fam, GridProfile) and pts is not None
-    ):
-        if isinstance(fam, GridProfile):
-            # sample a tol-cross around x; exact only for convex supports
-            probes = x + np.concatenate(
-                [np.zeros((1, spec.dimension))]
-                + [tol * np.eye(spec.dimension), -tol * np.eye(spec.dimension)]
-            )
-            vals = evaluate_batch(spec, probes)
-            if np.all(vals > 0):
-                return SupportClassification("interior", tol)
-            if vals[0] > 0 or np.any(vals > 0):
-                return SupportClassification("boundary", tol)
-            return SupportClassification("outside", tol)
-        A, b = _polytope_inequalities(fam.vertices, spec.dimension)
-        norms = np.linalg.norm(A, axis=1)
-        sl = (b - A @ x) / norms
-        dist = sl.min()
-        if dist > tol:
-            return SupportClassification("interior", tol)
-        if dist >= -tol:
-            return SupportClassification("boundary", tol)
-        return SupportClassification("outside", tol)
-    raise InputError("unhandled family in classify_support")
+# concavity validation, barycenter
 
 
 @dataclass(frozen=True)

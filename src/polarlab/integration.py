@@ -29,18 +29,13 @@ _CHUNK = 1 << 19
 @dataclass(frozen=True)
 class IntegrationConfig:
     """Grid oracle settings: cells per axis (defaulted by dimension when
-    None), tail cutoff for truncating unbounded supports, and whether the
-    radial fast path may be used."""
+    None)."""
 
     resolution: Optional[int] = None
-    eps_tail: float = 1e-12
-    radial_fast_path: bool = True
 
     def __post_init__(self):
         if self.resolution is not None and self.resolution < 16:
             raise InputError("resolution must be >= 16")
-        if not 0 < self.eps_tail < 1e-3:
-            raise InputError("eps_tail must be in (0, 1e-3)")
 
     def axis_cells(self, d: int) -> int:
         return self.resolution if self.resolution is not None else _DEFAULT_RES[d]
@@ -95,16 +90,13 @@ def richardson_box(fn, lo, hi, n: int) -> Tuple[float, float]:
     return value, err
 
 
-def radial_integral(ri: funcmodel.RadialInfo, d: int,
-                    eps_tail: float = 1e-12) -> Tuple[float, float]:
-    """omega_{d-1} * int_0^R f_rad(rho) rho^{d-1} drho by adaptive quadrature."""
-    R = ri.truncated_radius(eps_tail)
+def radial_integral(g: Callable[[np.ndarray], np.ndarray], R: float,
+                    d: int) -> Tuple[float, float]:
+    """omega_{d-1} * int_0^R g(rho) rho^{d-1} drho for a vectorized radial
+    profile g, by adaptive quadrature."""
+    val, err = sp_integrate.quad(lambda rho: g(np.atleast_1d(rho))[0] * rho ** (d - 1),
+                                 0.0, R, limit=200)
     omega = SPHERE_SURFACE[d]
-
-    def g(rho):
-        return ri.f_rad(np.atleast_1d(rho))[0] * rho ** (d - 1)
-
-    val, err = sp_integrate.quad(g, 0.0, R, limit=200)
     return omega * val, omega * err
 
 
@@ -119,12 +111,13 @@ def integrate_grid(spec: funcmodel.FunctionSpec,
     cfg = cfg or IntegrationConfig()
     d = spec.dimension
     ri = funcmodel.radial_info(spec)
-    if ri is not None and cfg.radial_fast_path:
+    if ri is not None:
         if ri.indicator:
             R = ri.radius
             vol = SPHERE_SURFACE[d] * R**d / d
             return vol, 1e-15 * vol
-        return radial_integral(ri, d, cfg.eps_tail)
+        # R: the support radius, truncated where f drops to EPS_TAIL
+        return radial_integral(ri.f_rad, spec.support.radius, d)
     fam = spec.family
     if isinstance(fam, funcmodel.PolytopeIndicator):
         if d == 1:
@@ -137,7 +130,7 @@ def integrate_grid(spec: funcmodel.FunctionSpec,
         return vol, 1e-15 * vol
     if isinstance(fam, funcmodel.Shifted):
         return integrate_grid(fam.inner, cfg)
-    lo, hi = funcmodel.support_box(spec, cfg.eps_tail)
+    lo, hi = funcmodel.support_box(spec)
     n = cfg.axis_cells(d)
     return richardson_box(lambda X: funcmodel.evaluate_batch(spec, X), lo, hi, n)
 
@@ -148,10 +141,10 @@ def moment_grid(spec: funcmodel.FunctionSpec,
     cfg = cfg or IntegrationConfig()
     d = spec.dimension
     ri = funcmodel.radial_info(spec)
-    if ri is not None and cfg.radial_fast_path:
+    if ri is not None:
         mass, err = integrate_grid(spec, cfg)
         return mass, ri.center * mass, err
-    lo, hi = funcmodel.support_box(spec, cfg.eps_tail)
+    lo, hi = funcmodel.support_box(spec)
     n = 2 * cfg.axis_cells(d)
     mass = 0.0
     mom = np.zeros(d)
@@ -178,7 +171,7 @@ def split_moments(spec: funcmodel.FunctionSpec, normal, offset: float,
     d = spec.dimension
     a = np.asarray(normal, dtype=float)
     a = a / np.linalg.norm(a)
-    lo, hi = funcmodel.support_box(spec, cfg.eps_tail)
+    lo, hi = funcmodel.support_box(spec)
     n = cfg.axis_cells(d)
     h = (np.asarray(hi) - np.asarray(lo)) / n
     half_diag = 0.5 * float(np.linalg.norm(h))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import integrate as sp_integrate
 
 from . import funcmodel, integration, transforms
 from .errors import InputError, NumericError
@@ -79,13 +78,13 @@ class LiftedBody:
 
         fam = spec.family
         if isinstance(fam, funcmodel.GridProfile) and not spec.is_log_concave:
-            return self._support_grid(fam, Uh, v, z)
+            return self._support_grid(Uh, v, z)
         raise InputError("unsupported family for lifted support")
 
     def _support_radial(self, ri, Uh, v, z):
         a = np.linalg.norm(Uh, axis=1)
         base_term = Uh @ (ri.center - z)
-        R = ri.truncated_radius()
+        R = self.base.support.radius
         inv_s = 1.0 / self.s
 
         def neg_obj(rho):
@@ -97,16 +96,11 @@ class LiftedBody:
         best = -transforms._zoom_min(neg_obj, lo, hi, stages=4)
         return base_term + best
 
-    def _support_grid(self, fam, Uh, v, z):
-        from scipy import ndimage
-
-        vals = np.asarray(fam.values, dtype=float)
-        d = vals.ndim
-        pos = vals > 0
-        near = ndimage.binary_dilation(pos, structure=np.ones((3,) * d, dtype=bool))
-        idx = np.argwhere(near)
-        X = np.asarray(fam.origin) + idx * fam.spacing
-        p = vals[near] ** (1.0 / self.s)
+    def _support_grid(self, Uh, v, z):
+        fam = self.base.family
+        near = funcmodel.grid_support_nodes(self.base)
+        X = np.asarray(fam.origin) + np.argwhere(near) * fam.spacing
+        p = np.asarray(fam.values, dtype=float)[near] ** (1.0 / self.s)
         out = np.empty(len(Uh))
         chunk = max(1, (1 << 22) // max(len(X), 1))
         for i in range(0, len(Uh), chunk):
@@ -152,7 +146,7 @@ def chords_of_lifting(spec: funcmodel.FunctionSpec, s: float) -> ChordLengthFiel
     ri = funcmodel.radial_info(spec)
     radial = None
     if ri is not None:
-        radial = (ri.center, ri.truncated_radius(),
+        radial = (ri.center, spec.support.radius,
                   lambda rho, _f=ri.f_rad: _f(rho) ** inv_s)
     return ChordLengthField(half, np.asarray(lo), np.asarray(hi), radial)
 
@@ -192,13 +186,9 @@ def s_volume(chords: ChordLengthField, s: float,
         raise InputError("s must be positive")
     cfg = cfg or integration.IntegrationConfig()
     d = len(chords.box_lo)
-    if chords.radial is not None and cfg.radial_fast_path:
-        center, R, frad = chords.radial
-        val, err = sp_integrate.quad(
-            lambda rho: frad(np.atleast_1d(rho))[0] ** s * rho ** (d - 1),
-            0.0, R, limit=200)
-        omega = integration.SPHERE_SURFACE[d]
-        return omega * val, omega * err
+    if chords.radial is not None:
+        _, R, frad = chords.radial
+        return integration.radial_integral(lambda rho: frad(rho) ** s, R, d)
     n = cfg.axis_cells(d)
     return integration.richardson_box(
         lambda X: chords.half_chord(X) ** s, chords.box_lo, chords.box_hi, n)

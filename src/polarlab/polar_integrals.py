@@ -188,7 +188,7 @@ _SUPPORT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 def node_support(spec: funcmodel.FunctionSpec, s: float,
                  quad: SphereQuadrature) -> np.ndarray:
     per_spec = _SUPPORT_CACHE.setdefault(spec, {})
-    key = (float(s), id(quad))
+    key = (float(s), quad)
     h0 = per_spec.get(key)
     if h0 is None:
         body = lifting.LiftedBody(spec, s)
@@ -301,12 +301,15 @@ _LOG_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 def _log_polar_nodes(spec: funcmodel.FunctionSpec,
                      cfg: Optional[IntegrationConfig] = None):
-    """Cached (nodes Y, cell-weighted values of L_inf f at Y)."""
-    cached = _LOG_CACHE.get(spec)
-    if cached is not None:
-        return cached
+    """(nodes Y, cell-weighted values of L_inf f at Y), cached per spec and
+    grid resolution."""
     cfg = cfg or IntegrationConfig()
     d = spec.dimension
+    n = cfg.resolution if cfg.resolution is not None else _LOG_GRID_RES[d]
+    per_spec = _LOG_CACHE.setdefault(spec, {})
+    cached = per_spec.get(n)
+    if cached is not None:
+        return cached
     peak = 1.0 / funcmodel.sup_value(spec)
     radius = 1.0
     for _ in range(40):
@@ -314,21 +317,20 @@ def _log_polar_nodes(spec: funcmodel.FunctionSpec,
                                                 indexing="ij"), axis=-1).reshape(-1, d)
         probes = np.concatenate([corners, radius * np.eye(d), -radius * np.eye(d)])
         vals = transforms.log_polar_batch(spec, probes)
-        if vals.max() < cfg.eps_tail * peak:
+        if vals.max() < funcmodel.EPS_TAIL * peak:
             break
         radius *= 2.0
     else:
         raise NumericError("polar of the spec does not decay (non-integrable?)")
-    n = cfg.resolution if cfg.resolution is not None else _LOG_GRID_RES[d]
     h = 2.0 * radius / n
     axes = [(-radius + h * (np.arange(n) + 0.5)) for _ in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     Y = np.stack([m.ravel() for m in mesh], axis=1)
     g = transforms.log_polar_batch(spec, Y)
-    keep = g > cfg.eps_tail * peak * 1e-3
+    keep = g > funcmodel.EPS_TAIL * peak * 1e-3
     Y = Y[keep]
     gw = g[keep] * h**d
-    _LOG_CACHE[spec] = (Y, gw)
+    per_spec[n] = (Y, gw)
     return Y, gw
 
 

@@ -10,6 +10,7 @@ L_s(shift(f, z))(y) = inf over supp f of ((1 + <z,y>) - <x,y>)_+^s / f(x).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -55,7 +56,7 @@ def _zoom_min(numer_fn, lo, hi, stages=3, m=65):
         step = (hi - lo) / (k - 1)
         center = rho[rows, idx]
         lo = np.maximum(lo, center - step)
-        hi = np.minimum(hi + 0 * step, center + step)
+        hi = np.minimum(hi, center + step)
     return best
 
 
@@ -122,25 +123,16 @@ def _s_polar_radial(ri: funcmodel.RadialInfo, s, Y, c0):
 def _s_polar_grid(spec, s, Y, c0):
     fam = spec.family
     vals = np.asarray(fam.values, dtype=float)
-    d = spec.dimension
     pos = vals > 0
-    from scipy import ndimage
-
-    near = ndimage.binary_dilation(pos, structure=np.ones((3,) * d, dtype=bool))
-    org = np.asarray(fam.origin)
-    idx_pos = np.argwhere(pos)
-    idx_near = np.argwhere(near)
-    Xp = org + idx_pos * fam.spacing
-    Xn = org + idx_near * fam.spacing
+    Xp = np.asarray(fam.origin) + np.argwhere(pos) * fam.spacing
     p = vals[pos] ** (1.0 / s)
     out = np.empty(len(Y))
-    chunk = max(1, (1 << 22) // max(len(Xn), 1))
+    chunk = max(1, (1 << 22) // len(Xp))
     for a in range(0, len(Y), chunk):
         Yc = Y[a:a + chunk]
         cc = c0[a:a + chunk]
-        # zero as soon as the numerator goes negative anywhere near supp f
-        num_near = cc[:, None] - Yc @ Xn.T
-        zero = num_near.min(axis=1) < 0
+        # zero as soon as the numerator goes negative somewhere on supp f
+        zero = cc < funcmodel.supp_support_function(spec, Yc)
         num_pos = np.maximum(0.0, cc[:, None] - Yc @ Xp.T)
         # min of an affine/affine ratio over each simplex sits at a vertex
         r = (num_pos / p[None, :]).min(axis=1) ** s
@@ -276,30 +268,31 @@ def legendre(ev: LegendreEvaluator, y, refine: bool = True) -> LegendreValue:
     return LegendreValue(best, False)
 
 
-def legendre_evaluator(spec: funcmodel.FunctionSpec,
-                       eps_tail: float = 1e-12,
-                       grid_n: Optional[int] = None) -> LegendreEvaluator:
-    """Evaluator for psi = -log f of a log-concave spec."""
+def legendre_evaluator(spec: funcmodel.FunctionSpec) -> LegendreEvaluator:
+    """Evaluator for psi = -log f of a log-concave spec, searched over the
+    support box of f (truncated where f drops to EPS_TAIL)."""
     if not spec.is_log_concave:
         raise InputError("legendre_evaluator expects a log-concave spec")
-    lo, hi = funcmodel.support_box(spec, eps_tail)
+    lo, hi = funcmodel.support_box(spec)
 
     def psi(X):
         f = funcmodel.evaluate_batch(spec, X)
         with np.errstate(divide="ignore"):
             return -np.log(f)
 
-    n = grid_n or {1: 4097, 2: 257, 3: 65}[spec.dimension]
+    n = {1: 4097, 2: 257, 3: 65}[spec.dimension]
     return LegendreEvaluator(psi, np.asarray(lo), np.asarray(hi), n)
 
 
-_LEGENDRE_CACHE: "dict" = {}
+_LEGENDRE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _cached_evaluator(spec) -> LegendreEvaluator:
     ev = _LEGENDRE_CACHE.get(spec)
     if ev is None:
-        ev = legendre_evaluator(spec)
+        # psi reads the spec through a weak proxy: a strong reference held by
+        # the cached value would keep its own key alive
+        ev = legendre_evaluator(weakref.proxy(spec))
         _LEGENDRE_CACHE[spec] = ev
     return ev
 

@@ -15,6 +15,11 @@ BOX1 = json.dumps({"dimension": 1, "class": {"s": 1},
 GAUSS1 = json.dumps({"dimension": 1, "class": "log",
                      "family": {"kind": "gaussian", "center": [0.0],
                                 "sigma": 1.0}})
+GRID2 = json.dumps({"dimension": 2, "class": {"s": 1},
+                    "family": {"kind": "grid_profile", "origin": [-1.0, -1.0],
+                               "spacing": 1.0,
+                               "values": [[0.5, 0.75, 0.5], [0.75, 1.0, 0.75],
+                                          [0.5, 0.75, 0.5]]}})
 
 
 @pytest.fixture
@@ -25,7 +30,8 @@ def runner():
 @pytest.fixture
 def specs(tmp_path):
     paths = {}
-    for name, text in (("hhat2", HHAT2), ("box1", BOX1), ("gauss1", GAUSS1)):
+    for name, text in (("hhat2", HHAT2), ("box1", BOX1), ("gauss1", GAUSS1),
+                       ("grid2", GRID2)):
         p = tmp_path / f"{name}.json"
         p.write_text(text)
         paths[name] = str(p)
@@ -37,6 +43,11 @@ class TestCommands:
         r = runner.invoke(cli.main, ["eval", "--spec", specs["hhat2"], "--z", "0"])
         assert r.exit_code == 0
         assert json.loads(r.output)["value"] == pytest.approx(1.0)
+
+    def test_eval_grid_d2(self, runner, specs):
+        r = runner.invoke(cli.main, ["eval", "--spec", specs["grid2"], "--z", "0,1"])
+        assert r.exit_code == 0
+        assert json.loads(r.output)["value"] == pytest.approx(0.75)
 
     def test_phi_kappa_anchor(self, runner, specs):
         r = runner.invoke(cli.main, ["phi", "--spec", specs["hhat2"],

@@ -5,11 +5,17 @@ import numpy as np
 import pytest
 
 from polarlab import funcmodel as fm
-from polarlab.errors import InputError
+from polarlab.errors import InputError, NumericError
 
 
 def hhat_spec(d, s):
     return fm.FunctionSpec(d, fm.SConcave(s), fm.HhatPower(s))
+
+
+# f = 1 - |x|^2 / 4 at the nodes of {-1, 0, 1}^2, s = 1
+GRID2 = {"dimension": 2, "class": {"s": 1},
+         "family": {"kind": "grid_profile", "origin": [-1.0, -1.0], "spacing": 1.0,
+                    "values": [[0.5, 0.75, 0.5], [0.75, 1.0, 0.75], [0.5, 0.75, 0.5]]}}
 
 
 class TestEvaluate:
@@ -38,6 +44,12 @@ class TestEvaluate:
         sh = fm.FunctionSpec(1, fm.SConcave(2.0), fm.Shifted(base, (0.3,)))
         x = np.array([0.5])
         assert fm.evaluate(sh, x) == pytest.approx(fm.evaluate(base, x - 0.3))
+
+    def test_grid_profile_d2(self):
+        spec = fm.spec_from_json(json.dumps(GRID2))
+        assert fm.evaluate(spec, np.array([0.0, 1.0])) == pytest.approx(0.75)
+        # Kuhn simplex (0,0), (1,0), (1,1) with weights 0.5, 0.25, 0.25
+        assert fm.evaluate(spec, np.array([0.5, 0.25])) == pytest.approx(0.8125)
 
     def test_batch_matches_scalar(self):
         spec = hhat_spec(2, 1.0)
@@ -81,6 +93,53 @@ class TestValidation:
         assert not fm.validate_concavity(spec_bad, 200, seed=0).ok
 
 
+def _box_vertices(d):
+    corners = np.stack(np.meshgrid(*([np.array([-1.0, 1.0])] * d), indexing="ij"),
+                       axis=-1).reshape(-1, d)
+    return corners * np.array([1.0, 0.75, 1.25])[:d]
+
+
+def _grid(d, cls, origin):
+    x = np.linspace(-1.0, 1.0, 9)
+    r2 = sum(m * m for m in np.meshgrid(*([x] * d), indexing="ij"))
+    return fm.FunctionSpec(d, cls, fm.GridProfile(tuple(origin), 0.25,
+                                                  np.maximum(0.0, 1.0 - r2)))
+
+
+def geometry_case(name, d):
+    """(spec, a point on the boundary of its truncated convex support)."""
+    e0 = np.eye(d)[0]
+    off = np.array([0.5, -0.25, 0.125])[:d]
+    if name == "ball":
+        c = np.full(d, 0.25)
+        return fm.FunctionSpec(d, fm.SConcave(1.0), fm.BallIndicator(tuple(c), 1.0)), c + e0
+    if name == "shifted-ball":
+        inner = fm.FunctionSpec(d, fm.SConcave(1.0), fm.BallIndicator((0.0,) * d, 1.0))
+        return fm.FunctionSpec(d, fm.SConcave(1.0), fm.Shifted(inner, tuple(off))), off + e0
+    if name in ("box", "simplex"):
+        V = _box_vertices(d) if name == "box" else np.vstack(
+            [np.full(d, -0.5), 1.5 * np.eye(d) - 0.5])
+        spec = fm.FunctionSpec(d, fm.SConcave(1.0), fm.PolytopeIndicator(tuple(map(tuple, V))))
+        return spec, V[-1]
+    if name == "grid":
+        return _grid(d, fm.SConcave(2.0), [-1.0] * d), e0
+    if name == "log-grid":
+        return _grid(d, fm.LogConcave(), [-1.0] * d), 0.75 * e0
+    if name == "shifted-grid":
+        inner = _grid(d, fm.SConcave(2.0), [-1.0] * d)
+        return fm.FunctionSpec(d, fm.SConcave(2.0), fm.Shifted(inner, tuple(off))), off + e0
+    gauss = fm.FunctionSpec(d, fm.LogConcave(), fm.Gaussian((0.0,) * d, 1.0))
+    spec = fm.FunctionSpec(d, fm.SConcave(2.0), fm.LogApprox(gauss, 2.0))
+    return spec, fm.support_box(spec)[1][0] * e0
+
+
+GEOMETRY_CASES = (
+    [(name, d) for name in ("ball", "shifted-ball", "box", "simplex", "fs-gaussian")
+     for d in (1, 2, 3)]
+    + [("grid", 1), ("grid", 2), ("log-grid", 2), ("shifted-grid", 2)]
+)
+
+
 class TestGeometry:
     def test_axis_extents_ball(self):
         spec = fm.FunctionSpec(2, fm.SConcave(1.0), fm.BallIndicator((0.5, 0.0), 1.0))
@@ -98,6 +157,23 @@ class TestGeometry:
     def test_barycenter_shifted_ball(self):
         spec = fm.FunctionSpec(1, fm.SConcave(1.0), fm.BallIndicator((0.7,), 0.5))
         assert fm.barycenter(spec).vector[0] == pytest.approx(0.7, abs=1e-9)
+
+    @pytest.mark.parametrize("name,d", GEOMETRY_CASES)
+    def test_support_geometry(self, name, d):
+        spec, boundary = geometry_case(name, d)
+        X = fm.support_samples(spec, 400, seed=d)
+        z = X.mean(axis=0)  # interior: the support is convex with nonempty interior
+        rm, rp = fm.axis_extents(spec, z)
+        for i, e in enumerate(np.eye(d)):
+            assert rp[i] == fm.support_ray_extent(spec, z, e)
+            assert rm[i] == fm.support_ray_extent(spec, z, -e)
+        assert all(fm.conv_support_contains(spec, x) for x in X)
+        Y = np.random.default_rng(d).normal(size=(50, d))
+        h = fm.supp_support_function(spec, Y)
+        assert np.all(h[:, None] >= Y @ X.T - 1e-12)
+        for outside in (boundary, z + 1.5 * (boundary - z)):
+            with pytest.raises(NumericError):
+                fm.axis_extents(spec, outside)
 
 
 class TestJson:

@@ -12,6 +12,22 @@ def hhat_spec(d, s):
     return fm.FunctionSpec(d, fm.SConcave(s), fm.HhatPower(s))
 
 
+def grid2_spec():
+    """(1 - |x|^2)_+ on a 9 x 9 grid over [-1, 1]^2, s = 2."""
+    x = np.linspace(-1.0, 1.0, 9)
+    r2 = sum(m * m for m in np.meshgrid(x, x, indexing="ij"))
+    return fm.FunctionSpec(2, fm.SConcave(2.0),
+                           fm.GridProfile((-1.0, -1.0), 0.25, np.maximum(0.0, 1.0 - r2)))
+
+
+def dense_support_sample(spec, n=401):
+    """Points of a fine grid over [-1, 1]^2 with f > 0, and f there."""
+    g = np.linspace(-1.0, 1.0, n)
+    X = np.stack([m.ravel() for m in np.meshgrid(g, g, indexing="ij")], axis=1)
+    f = fm.evaluate_batch(spec, X)
+    return X[f > 0], f[f > 0]
+
+
 def interval_spec():
     return fm.FunctionSpec(1, fm.SConcave(1.0),
                            fm.PolytopeIndicator(((-1.0,), (1.0,))))
@@ -39,6 +55,18 @@ class TestLiftedSupport:
         flipped[-1] *= -1.0
         assert lifting.lifted_support(body, u) == pytest.approx(
             lifting.lifted_support(body, flipped), abs=1e-12)
+
+    def test_grid_d2_matches_dense_sup(self):
+        # sup over supp f of <x, u'> + f(x)^(1/2) |u_3| by brute force; the
+        # sample misses the boundary of supp f by less than 0.01
+        spec = grid2_spec()
+        th = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
+        U = np.stack([np.cos(th), np.sin(th), np.full(32, 0.2)], axis=1)
+        X, f = dense_support_sample(spec)
+        dense = (U[:, :2] @ X.T + U[:, 2:] * np.sqrt(f)).max(axis=1)
+        gap = lifting.LiftedBody(spec, 2.0).support_batch(U) - dense
+        assert gap.min() >= -1e-12
+        assert gap.max() <= 0.01
 
     def test_nonunit_direction_rejected(self):
         from polarlab.errors import InputError

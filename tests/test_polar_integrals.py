@@ -42,6 +42,13 @@ class TestQuadrature:
     def test_cache_identity(self):
         assert pint.default_quadrature(2, 1.0) is pint.default_quadrature(2, 1.0)
 
+    def test_node_support_per_quadrature(self):
+        # quadratures built and dropped in turn may share an id()
+        spec = hhat_spec(2, 1.0)
+        for k in range(40):
+            quad = pint.SphereQuadrature.build(2, 1.0, 2 + k % 3, 4 + k)
+            assert len(pint.node_support(spec, 1.0, quad)) == len(quad.nodes)
+
     def test_mismatched_quadrature_rejected(self):
         q = pint.default_quadrature(1, 1.0)
         with pytest.raises(InputError):
@@ -103,6 +110,15 @@ class TestPhiLog:
         g = fm.FunctionSpec(1, fm.LogConcave(), fm.Gaussian((0.0,), 1.0))
         assert pint.phi_log(g, np.zeros(1)) == pytest.approx(
             math.sqrt(2.0 * math.pi), rel=1e-6)
+
+    def test_cache_keys_on_resolution(self):
+        g = fm.FunctionSpec(1, fm.LogConcave(), fm.Gaussian((0.0,), 1.0))
+        fresh = fm.FunctionSpec(1, fm.LogConcave(), fm.Gaussian((0.0,), 1.0))
+        z = np.array([0.4])
+        coarse = pint.phi_log(g, z, pint.IntegrationConfig(resolution=16))
+        fine = pint.phi_log(g, z, pint.IntegrationConfig(resolution=4096))
+        assert fine == pint.phi_log(fresh, z, pint.IntegrationConfig(resolution=4096))
+        assert fine != coarse
 
     def test_gradient_matches_fd(self):
         g = fm.FunctionSpec(1, fm.LogConcave(), fm.Gaussian((0.3,), 1.0))

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -51,6 +53,24 @@ class TestSPolar:
         ly = transforms.s_polar(spec, 2.0, np.array([y]))
         assert fx * ly <= max(0.0, 1.0 - x * y) ** 2.0 + 1e-9
 
+    def test_batch_grid_profile_d2(self):
+        x = np.linspace(-1.0, 1.0, 9)
+        vals = np.maximum(0.0, 1.0 - sum(m * m for m in np.meshgrid(x, x, indexing="ij")))
+        spec = fm.FunctionSpec(2, fm.SConcave(2.0), fm.GridProfile((-1.0, -1.0), 0.25, vals))
+        g = np.linspace(-1.0, 1.0, 401)
+        X = np.stack([m.ravel() for m in np.meshgrid(g, g, indexing="ij")], axis=1)
+        f = fm.evaluate_batch(spec, X)
+        X, f = X[f > 0], f[f > 0]
+        Y = np.random.default_rng(0).uniform(-1.2, 1.2, size=(200, 2))
+        # the min of the ratio over each Kuhn simplex sits at a sampled node
+        num = 1.0 - Y @ X.T
+        want = np.where(num.min(axis=1) < 0.0, 0.0,
+                        (np.maximum(num, 0.0) ** 2 / f).min(axis=1))
+        # the sample may miss where <x, y> reaches 1 right at the boundary
+        clear = np.abs((Y @ X.T).max(axis=1) - 1.0) > 0.02
+        got = transforms.s_polar_batch(spec, 2.0, Y)
+        np.testing.assert_allclose(got[clear], want[clear], rtol=1e-9, atol=1e-12)
+
     def test_batch_grid_profile(self):
         t = np.linspace(-1.0, 1.0, 65)
         vals = np.maximum(0.0, 1.0 - t * t)
@@ -93,6 +113,14 @@ class TestLogPolar:
         shifted = transforms.log_polar(g, y, center=z)
         assert shifted == pytest.approx(
             math.exp(float(z @ y)) * transforms.log_polar(g, y), rel=1e-9)
+
+    def test_cache_does_not_keep_spec_alive(self):
+        g = fm.FunctionSpec(1, fm.LogConcave(), fm.Gaussian((0.0,), 1.0))
+        transforms.log_polar(g, np.array([0.5]))
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
 
     def test_batch_matches_scalar(self):
         g = fm.FunctionSpec(1, fm.LogConcave(), fm.Gaussian((0.2,), 0.8))
