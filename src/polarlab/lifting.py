@@ -77,6 +77,10 @@ class LiftedBody:
             return self._support_radial(ri, Uh, v, z)
 
         fam = spec.family
+        if isinstance(fam, funcmodel.Shifted):
+            # x - z = x' - (z - offset) for x' = x - offset in supp inner
+            inner = LiftedBody(fam.inner, self.s, tuple(z - np.asarray(fam.offset)))
+            return inner.support_batch(U)
         if isinstance(fam, funcmodel.GridProfile) and not spec.is_log_concave:
             return self._support_grid(Uh, v, z)
         raise InputError("unsupported family for lifted support")

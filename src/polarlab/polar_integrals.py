@@ -326,7 +326,7 @@ def _log_polar_nodes(spec: funcmodel.FunctionSpec,
     axes = [(-radius + h * (np.arange(n) + 0.5)) for _ in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     Y = np.stack([m.ravel() for m in mesh], axis=1)
-    g = transforms.log_polar_batch(spec, Y)
+    g = transforms.log_polar_grid(spec, axes)
     keep = g > funcmodel.EPS_TAIL * peak * 1e-3
     Y = Y[keep]
     gw = g[keep] * h**d

@@ -30,6 +30,7 @@ __all__ = [
     "legendre_evaluator",
     "log_polar",
     "log_polar_batch",
+    "log_polar_grid",
     "s_approx",
     "convergence_study",
 ]
@@ -81,6 +82,9 @@ def s_polar_batch(spec: funcmodel.FunctionSpec, s: float, Y: np.ndarray,
         return _s_polar_radial(ri, s, Y, c0)
 
     fam = spec.family
+    if isinstance(fam, funcmodel.Shifted):
+        # shift(f, z) = shift(inner, z - offset)
+        return s_polar_batch(fam.inner, s, Y, z - np.asarray(fam.offset))
     if isinstance(fam, funcmodel.GridProfile) and not spec.is_log_concave:
         return _s_polar_grid(spec, s, Y, c0)
 
@@ -208,24 +212,30 @@ class LegendreEvaluator:
     """Convex conjugate of psi by grid sup plus local refinement.
 
     The search box should cover the (truncated) effective domain of psi;
-    suprema still climbing at the box boundary are tagged infinite.
+    suprema still climbing at the box boundary are tagged infinite.  psi is
+    sampled on the tensor grid of `axes` (`psi_grid`, +inf off its effective
+    domain); `nodes` and `psi_nodes` list its finite entries.
     """
 
     psi: Callable[[np.ndarray], np.ndarray]
     lower: np.ndarray
     upper: np.ndarray
     grid_n: int = 129
+    axes: tuple = field(init=False, repr=False)
+    psi_grid: np.ndarray = field(init=False, repr=False)
     nodes: np.ndarray = field(init=False, repr=False)
     psi_nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = len(self.lower)
         n = self.grid_n
-        axes = [np.linspace(self.lower[i], self.upper[i], n) for i in range(d)]
+        axes = tuple(np.linspace(self.lower[i], self.upper[i], n) for i in range(d))
         mesh = np.meshgrid(*axes, indexing="ij")
         X = np.stack([m.ravel() for m in mesh], axis=1)
         v = self.psi(X)
         keep = np.isfinite(v)
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "psi_grid", np.where(keep, v, np.inf).reshape((n,) * d))
         object.__setattr__(self, "nodes", X[keep])
         object.__setattr__(self, "psi_nodes", v[keep])
         if not keep.any():
@@ -319,8 +329,9 @@ def log_polar_batch(spec: funcmodel.FunctionSpec, Y: np.ndarray,
                     center=None) -> np.ndarray:
     """Grid-conjugate evaluation of L_inf(shift(f, center)) over rows of Y.
 
-    Uses the cached psi nodes without per-point refinement; adequate for
-    integration, use log_polar for high pointwise accuracy.
+    The dense max over the cached psi nodes, without per-point refinement:
+    the reference for scattered points (log_polar_grid gives the same sup on
+    tensor grids, log_polar high pointwise accuracy).
     """
     if not spec.is_log_concave:
         raise InputError("log_polar expects a log-concave spec")
@@ -335,6 +346,64 @@ def log_polar_batch(spec: funcmodel.FunctionSpec, Y: np.ndarray,
     if center is not None:
         res = res * np.exp(Y @ np.asarray(center, dtype=float))
     return res
+
+
+def _conjugate_1d(x: np.ndarray, p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """max_j (y_i x_j - p_j) over the finite p_j, exactly; -inf where none is.
+
+    x is increasing.  The max is attained on the lower convex hull of the
+    points (x_j, p_j), at the vertex where the hull's slopes pass y.  p need
+    not be convex (it is so only up to rounding), hence the pruning loop and
+    the look at both neighbours of that vertex.
+    """
+    fin = np.isfinite(p)
+    if not fin.any():
+        return np.full(len(y), -np.inf)
+    x = x[fin]
+    p = p[fin]
+    # drop, all at once, every point strictly above the chord of its kept
+    # neighbours (none of them is a hull vertex), until none is left
+    while len(x) > 2:
+        above = ((p[1:-1] - p[:-2]) * (x[2:] - x[:-2])
+                 > (p[2:] - p[:-2]) * (x[1:-1] - x[:-2]))
+        if not above.any():
+            break
+        keep = np.concatenate(([True], ~above, [True]))
+        x = x[keep]
+        p = p[keep]
+    k = np.searchsorted(np.diff(p) / np.diff(x), y)
+    best = np.full(len(y), -np.inf)
+    for j in (k - 1, k, k + 1):
+        j = j.clip(0, len(x) - 1)
+        best = np.maximum(best, y * x[j] - p[j])
+    return best
+
+
+def log_polar_grid(spec: funcmodel.FunctionSpec,
+                   y_axes: Sequence[np.ndarray]) -> np.ndarray:
+    """L_inf f on the tensor grid y_axes[0] x ... x y_axes[d-1], raveled in
+    ij order.
+
+    The same discrete sup as log_polar_batch over the same psi nodes, taken
+    one axis at a time: sup_x <x,y> - psi(x) nests as a 1-D conjugate along
+    each axis, applied line by line.
+    """
+    if not spec.is_log_concave:
+        raise InputError("log_polar expects a log-concave spec")
+    if len(y_axes) != spec.dimension:
+        raise InputError("log_polar_grid needs one axis per dimension")
+    ev = _cached_evaluator(spec)
+    a = ev.psi_grid
+    for k, (x, y) in enumerate(zip(ev.axes, y_axes)):
+        y = np.asarray(y, dtype=float)
+        # after axis k-1, a holds sup over x_0..x_{k-1} of <x,y> - psi: the
+        # next pass conjugates its negative
+        lines = np.moveaxis(a if k == 0 else -a, k, -1)
+        out = np.empty(lines.shape[:-1] + (len(y),))
+        for idx in np.ndindex(lines.shape[:-1]):
+            out[idx] = _conjugate_1d(x, lines[idx], y)
+        a = np.moveaxis(out, -1, k)
+    return np.exp(-a).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,15 @@ GRID2 = json.dumps({"dimension": 2, "class": {"s": 1},
                                "spacing": 1.0,
                                "values": [[0.5, 0.75, 0.5], [0.75, 1.0, 0.75],
                                           [0.5, 0.75, 0.5]]}})
+# (1 - |x|^2)_+ on a 9 x 9 grid over [-1, 1]^2, s = 2, shifted by (0.5, -0.25)
+_X = [-1.0 + 0.25 * i for i in range(9)]
+_POOL_GRID2 = {"dimension": 2, "class": {"s": 2},
+               "family": {"kind": "grid_profile", "origin": [-1.0, -1.0], "spacing": 0.25,
+                          "values": [[max(0.0, 1.0 - a * a - b * b) for b in _X]
+                                     for a in _X]}}
+SHIFTED_GRID2 = json.dumps({"dimension": 2, "class": {"s": 2},
+                            "family": {"kind": "shifted", "inner": _POOL_GRID2,
+                                       "offset": [0.5, -0.25]}})
 
 
 @pytest.fixture
@@ -31,7 +40,7 @@ def runner():
 def specs(tmp_path):
     paths = {}
     for name, text in (("hhat2", HHAT2), ("box1", BOX1), ("gauss1", GAUSS1),
-                       ("grid2", GRID2)):
+                       ("grid2", GRID2), ("shifted_grid2", SHIFTED_GRID2)):
         p = tmp_path / f"{name}.json"
         p.write_text(text)
         paths[name] = str(p)
@@ -81,6 +90,14 @@ class TestCommands:
         assert r.exit_code == 0
         out = json.loads(r.output)
         assert abs(out["z_star"][0]) <= 1e-8
+        assert out["converged"]
+
+    def test_santalo_point_shifted_grid(self, runner, specs):
+        r = runner.invoke(cli.main, ["santalo-point", "--spec", specs["shifted_grid2"],
+                                     "--s", "2"])
+        assert r.exit_code == 0
+        out = json.loads(r.output)
+        assert out["z_star"] == pytest.approx([0.5, -0.25], abs=1e-8)
         assert out["converged"]
 
     def test_santalo_hyperplane(self, runner, specs):

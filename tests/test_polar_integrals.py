@@ -81,6 +81,25 @@ class TestPhiSphere:
         assert v1 == pytest.approx(v2, rel=1e-9)
 
 
+def pool_grid_d2():
+    """(1 - |x|^2)_+ on a 9 x 9 grid over [-1, 1]^2, s = 2."""
+    x = np.linspace(-1.0, 1.0, 9)
+    r2 = sum(m * m for m in np.meshgrid(x, x, indexing="ij"))
+    return fm.FunctionSpec(2, fm.SConcave(2.0),
+                           fm.GridProfile((-1.0, -1.0), 0.25, np.maximum(0.0, 1.0 - r2)))
+
+
+class TestShiftedGrid:
+    def test_phi_sphere_moves_with_the_offset(self):
+        inner = pool_grid_d2()
+        off = np.array([0.5, -0.25])
+        shifted = fm.FunctionSpec(2, fm.SConcave(2.0), fm.Shifted(inner, tuple(off)))
+        for z in ([0.5, -0.25], [0.8, 0.1], [0.2, -0.6]):
+            z = np.asarray(z)
+            assert pint.phi_sphere(shifted, 2.0, z).value == pytest.approx(
+                pint.phi_sphere(inner, 2.0, z - off).value, rel=1e-12)
+
+
 class TestGradient:
     def test_interval_gradient_closed_form(self):
         spec = interval_spec()
@@ -110,6 +129,11 @@ class TestPhiLog:
         g = fm.FunctionSpec(1, fm.LogConcave(), fm.Gaussian((0.0,), 1.0))
         assert pint.phi_log(g, np.zeros(1)) == pytest.approx(
             math.sqrt(2.0 * math.pi), rel=1e-6)
+
+    def test_gaussian_d3_closed_form(self):
+        g = fm.FunctionSpec(3, fm.LogConcave(), fm.Gaussian((0.0, 0.0, 0.0), 1.0))
+        assert pint.phi_log(g, np.zeros(3)) == pytest.approx(
+            (2.0 * math.pi) ** 1.5, rel=1e-2)
 
     def test_cache_keys_on_resolution(self):
         g = fm.FunctionSpec(1, fm.LogConcave(), fm.Gaussian((0.0,), 1.0))

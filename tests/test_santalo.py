@@ -48,6 +48,24 @@ class TestSantaloPoint:
         res = santalo.santalo_point(g, math.inf)
         assert res.z_star[0] == pytest.approx(0.7, abs=1e-6)
 
+    def test_log_concave_gaussian_d3(self):
+        g = fm.FunctionSpec(3, fm.LogConcave(), fm.Gaussian((0.2, -0.1, 0.3), 0.9))
+        res = santalo.santalo_point(g, math.inf)
+        assert res.converged
+        np.testing.assert_allclose(res.z_star, [0.2, -0.1, 0.3], atol=1e-6)
+
+    def test_shifted_grid_moves_with_the_offset(self):
+        x = np.linspace(-1.0, 1.0, 9)
+        r2 = sum(m * m for m in np.meshgrid(x, x, indexing="ij"))
+        inner = fm.FunctionSpec(2, fm.SConcave(2.0), fm.GridProfile(
+            (-1.0, -1.0), 0.25, np.maximum(0.0, 1.0 - r2)))
+        off = np.array([0.5, -0.25])
+        shifted = fm.FunctionSpec(2, fm.SConcave(2.0), fm.Shifted(inner, tuple(off)))
+        res = santalo.santalo_point(shifted, 2.0)
+        assert res.converged
+        np.testing.assert_allclose(
+            res.z_star, santalo.santalo_point(inner, 2.0).z_star + off, atol=1e-9)
+
 
 class TestHyperplaneConstruction:
     def test_interval_offset(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from polarlab import funcmodel as fm
 from polarlab import transforms
+from polarlab.errors import InputError
 
 
 def hhat_spec(d, s):
@@ -128,6 +129,69 @@ class TestLogPolar:
         got = transforms.log_polar_batch(g, Y)
         want = [transforms.log_polar(g, y, refine=False) for y in Y]
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
+
+
+def _mesh(axes):
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+def log_spec(name, d):
+    if name == "gaussian":
+        return fm.FunctionSpec(d, fm.LogConcave(), fm.Gaussian((0.1,) * d, 0.8))
+    if name == "exp":
+        return fm.FunctionSpec(d, fm.LogConcave(), fm.ExpNegNorm(1.2))
+    # log-concave grid with zero nodes in its corners
+    x = np.linspace(-1.0, 1.0, 9)
+    r2 = sum(m * m for m in np.meshgrid(*([x] * d), indexing="ij"))
+    return fm.FunctionSpec(d, fm.LogConcave(), fm.GridProfile(
+        (-1.0,) * d, 0.25, np.maximum(0.0, 1.0 - r2)))
+
+
+class TestConjugate1d:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 17, 64])
+    def test_matches_brute_force(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            x = np.sort(rng.uniform(-2.0, 2.0, n))
+            # convex trend plus noise, so neither convex nor concave
+            p = 0.3 * x * x + rng.normal(size=n)
+            p[rng.random(n) < 0.3] = np.inf
+            y = rng.uniform(-40.0, 40.0, 50)  # beyond the slope range too
+            fin = np.isfinite(p)
+            want = (y[:, None] * x[None, fin] - p[None, fin]).max(
+                axis=1, initial=-np.inf)
+            np.testing.assert_array_equal(transforms._conjugate_1d(x, p, y), want)
+
+    def test_almost_convex_sample(self):
+        # a convex function sampled in floating point is convex only up to
+        # rounding; at y on one of its slopes two vertices tie up to an ulp
+        rng = np.random.default_rng(1)
+        x = np.sort(rng.uniform(-3.0, 3.0, 400))
+        p = np.log(np.cosh(x)) + 1e-15 * rng.normal(size=len(x))
+        y = np.concatenate([np.diff(p) / np.diff(x), rng.uniform(-1.2, 1.2, 100)])
+        want = (y[:, None] * x[None, :] - p[None, :]).max(axis=1)
+        np.testing.assert_array_equal(transforms._conjugate_1d(x, p, y), want)
+
+
+class TestLogPolarGrid:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["gaussian", "exp", "log-grid"])
+    def test_matches_dense(self, name, d):
+        spec = log_spec(name, d)
+        lo, hi = fm.support_box(spec)
+        # unequal axes reaching past the Legendre box on both sides
+        counts = {1: (101,), 2: (13, 17), 3: (5, 6, 7)}[d]
+        axes = [np.linspace(1.4 * lo[i] - 0.1, 1.2 * hi[i] + 0.2, k)
+                for i, k in enumerate(counts)]
+        got = transforms.log_polar_grid(spec, axes)
+        want = transforms.log_polar_batch(spec, _mesh(axes))
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert (want > 0.0).any()
+
+    def test_axis_count_checked(self):
+        with pytest.raises(InputError):
+            transforms.log_polar_grid(log_spec("gaussian", 2), [np.zeros(3)])
 
 
 class TestSApprox:
