@@ -562,6 +562,33 @@ class _Polytope:
             return np.inf
         return float(np.min(slack[pos] / rate[pos]))
 
+    @cached_property
+    def polar_cells(self):
+        """(A, b, T, |det A_S| for S in T): the distinct facets of P and a
+        triangulation T of the boundary of (P - z)°, valid for every
+        interior z.
+
+        (P - z)° = conv{a_i / c_i} with c = b - A z.  It is the image of the
+        polar about one interior point under a projective map that fixes
+        the origin, so the combinatorial type of its boundary (the dual of
+        P) and one triangulation of it, each simplex a set of d facet
+        indices, serve every interior z.
+        """
+        E = np.column_stack([self.A, self.b])
+        # a facet the hull lists once per triangle of it counts once
+        tol = 1e-9 * max(1.0, float(np.abs(self.b).max()))
+        same = np.abs(E[:, None, :] - E[None, :, :]).max(axis=2) <= tol
+        E = E[~np.triu(same, 1).any(axis=0)]
+        A, b = E[:, :-1], E[:, -1]
+        if A.shape[1] == 1:
+            tri = np.arange(len(A))[:, None]
+        else:
+            from scipy.spatial import ConvexHull
+
+            z0 = self.points.mean(axis=0)  # interior: the points span R^d
+            tri = ConvexHull(A / (b - A @ z0)[:, None]).simplices
+        return A, b, tri, np.abs(np.linalg.det(A[tri]))
+
 
 def _support(spec: FunctionSpec) -> Union[_Ball, _Polytope]:
     ri = spec.radial

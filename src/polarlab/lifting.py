@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+# samples of the radial profile behind the lifted support of a radial spec
+_RADIAL_SAMPLES = 4097
+
+
 def unit_ball_volume(s: int) -> float:
     """vol_s of the unit ball in R^s for small integer s."""
     if s not in (1, 2, 3):
@@ -86,19 +90,51 @@ class LiftedBody:
         raise InputError("unsupported family for lifted support")
 
     def _support_radial(self, ri, Uh, v, z):
+        """<centre - z, u'> + max over rho in [0, R] of a rho + v p(rho),
+        with a = |u'| and p = f_rad^{1/s}.
+
+        The objective is concave in rho only when f is 1/s-concave: for
+        hhat^e with e > s it is concave, then convex, and its maximum can be
+        an interior one that nearly ties rho = R.  p does not depend on the
+        direction, so it is sampled once and pruned to its upper hull; each
+        direction's best hull vertex is found by searchsorted on the hull
+        slopes.  Golden section refines between the neighbouring samples of
+        that vertex and of each hull neighbour across a bridge (a stretch
+        where p is convex); both endpoints compete.
+        """
         a = np.linalg.norm(Uh, axis=1)
-        base_term = Uh @ (ri.center - z)
         R = self.base.support.radius
         inv_s = 1.0 / self.s
+        rho = np.linspace(0.0, R, _RADIAL_SAMPLES)
+        p = ri.f_rad(rho) ** inv_s
+        hull = transforms._lower_hull(rho, -p)
+        slopes = -np.diff(p[hull]) / np.diff(rho[hull])  # increasing
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.searchsorted(slopes, a / v)  # v = 0: the last vertex, R
 
-        def neg_obj(rho):
-            p = ri.f_rad(rho) ** inv_s
-            return -(a[:, None] * rho + v[:, None] * p)
+        def score(j):
+            return a * rho[j] + v * p[j]
 
-        lo = np.zeros(len(Uh))
-        hi = np.full(len(Uh), R)
-        best = -transforms._zoom_min(neg_obj, lo, hi, stages=4)
-        return base_term + best
+        last = len(hull) - 1
+        k = k.clip(0, last)
+        best = np.maximum.reduce([score(hull[(k + o).clip(0, last)]) for o in (-1, 0, 1)]
+                                 + [score(0), score(-1)])
+        # a separate local maximum that can nearly tie vertex k sits across
+        # a bridge of the hull (a segment that skips samples) from it, as
+        # the interior one does from rho = R; all brackets go through one
+        # search
+        rows, at = [np.arange(len(k))], [hull[k]]
+        for o in (-1, 1):
+            m = (k + o).clip(0, last)
+            far = np.nonzero(np.abs(hull[m] - hull[k]) > 1)[0]
+            rows.append(far)
+            at.append(hull[m[far]])
+        rows, j = np.concatenate(rows), np.concatenate(at)
+        ar, vr = a[rows, None], v[rows, None]
+        top = -transforms._golden_min(lambda r: -(ar * r + vr * ri.f_rad(r) ** inv_s),
+                                      rho[j.clip(1, len(rho) - 2) - 1], 2.0 * rho[1])
+        np.maximum.at(best, rows, top)
+        return Uh @ (ri.center - z) + best
 
     def _support_grid(self, Uh, v, z):
         fam = self.base.family

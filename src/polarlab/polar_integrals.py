@@ -1,6 +1,7 @@
 """Integrals of polars: the kappa constant, the spherical support-function
-formula for Phi(z) = int L_s(shift(f, z)), its gradient, the brute-force grid
-oracle for the same quantity, and the log-concave analogue Phi_inf.
+formula for Phi(z) = int L_s(shift(f, z)) (in closed form for polytope
+indicators), its gradient, the brute-force grid oracle for the same quantity,
+and the log-concave analogue Phi_inf.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=1)
 
 
-_DEFAULT_NODES = {1: (128, 2), 2: (64, 128), 3: (64, 1024)}
+_DEFAULT_NODES = {1: (512, 2), 2: (64, 128), 3: (64, 1024)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,14 +207,50 @@ def _shifted_support(spec, s, z, quad) -> np.ndarray:
     return h
 
 
+def _polytope_polar(spec: funcmodel.FunctionSpec):
+    """`polar_cells` of the support when spec is the indicator of a
+    polytope, None for any other spec."""
+    if funcmodel.is_indicator(spec) and isinstance(spec.support, funcmodel._Polytope):
+        return spec.support.polar_cells
+    return None
+
+
+def _polytope_phi(poly, s: float, z) -> Tuple[float, np.ndarray]:
+    """Phi(z) and its gradient for a polytope indicator, in closed form, from
+    its `polar_cells` (A, b, T, |det A_S|).
+
+    For an indicator, int_0^inf t^{s-1} (h + t)^{-(d+s)} dt = B(s, d) h^{-d}
+    turns the spherical formula into Phi(z) = d! Gamma(s+1)/Gamma(d+s+1)
+    vol((P - z)°), and vol = sum over S in T of |det A_S| / (d! prod c_S).
+    """
+    A, b, tri, det = poly
+    c = b - A @ np.asarray(z, dtype=float)
+    if c.min() <= 0.0:
+        raise DomainError("center is not interior to the support")
+    d = A.shape[1]
+    pref = math.exp(math.lgamma(s + 1.0) - math.lgamma(d + s + 1.0))
+    term = pref * det / np.prod(c[tri], axis=1)
+    # d/dz of 1/c_i is a_i / c_i^2
+    per_facet = np.bincount(tri.ravel(), np.repeat(term, d), len(A))
+    return float(term.sum()), A.T @ (per_facet / c)
+
+
 def phi_sphere(spec: funcmodel.FunctionSpec, s: float, z,
                quad: Optional[SphereQuadrature] = None,
                error_estimate: bool = False) -> PolarIntegral:
-    """Phi(z) = s/(2(d+s)) * int_{S^d} |u_{d+1}|^{s-1} / h_{K-hat - z}(u)^{d+s} dsigma."""
+    """Phi(z) = s/(2(d+s)) * int_{S^d} |u_{d+1}|^{s-1} / h_{K-hat - z}(u)^{d+s} dsigma.
+
+    Polytope indicators take the closed form of `_polytope_phi` (method
+    "exact", error estimate 0).
+    """
     d = spec.dimension
     quad = quad or default_quadrature(d, s)
     if quad.d != d or quad.s != s:
         raise InputError("quadrature does not match (d, s)")
+    poly = _polytope_polar(spec)
+    if poly is not None:
+        value, _ = _polytope_phi(poly, s, z)
+        return PolarIntegral(value, "exact", err_est=0.0 if error_estimate else None)
     h = _shifted_support(spec, s, z, quad)
     with np.errstate(over="ignore"):
         value = s / (2.0 * (d + s)) * float(np.sum(quad.weights * h ** (-(d + s))))
@@ -233,7 +270,8 @@ def phi_gradient(spec: funcmodel.FunctionSpec, s: float, z,
                  quad: Optional[SphereQuadrature] = None,
                  cfg: Optional[IntegrationConfig] = None,
                  with_moment: bool = True) -> PolarIntegral:
-    """Gradient of Phi at z from the spherical formula, plus the polar moment
+    """Gradient of Phi at z from the spherical formula (the closed form for
+    polytope indicators), plus the polar moment
     m(z) = int y L_s(shift(f, z))(y) dy from the grid oracle.
 
     The two are parallel with positive proportionality constant d+s+1
@@ -242,15 +280,20 @@ def phi_gradient(spec: funcmodel.FunctionSpec, s: float, z,
     """
     d = spec.dimension
     quad = quad or default_quadrature(d, s)
-    h = _shifted_support(spec, s, z, quad)
-    with np.errstate(over="ignore"):
-        value = s / (2.0 * (d + s)) * float(np.sum(quad.weights * h ** (-(d + s))))
-    grad = 0.5 * s * (quad.nodes[:, :d].T @ (quad.weights * h ** (-(d + s + 1))))
+    poly = _polytope_polar(spec)
+    if poly is not None:
+        value, grad = _polytope_phi(poly, s, z)
+        method, nodes = "exact", None
+    else:
+        h = _shifted_support(spec, s, z, quad)
+        with np.errstate(over="ignore"):
+            value = s / (2.0 * (d + s)) * float(np.sum(quad.weights * h ** (-(d + s))))
+        grad = 0.5 * s * (quad.nodes[:, :d].T @ (quad.weights * h ** (-(d + s + 1))))
+        method, nodes = "sphere", len(quad.nodes)
     moment = None
     if with_moment:
         _, moment = polar_moment(spec, s, z, cfg)
-    return PolarIntegral(value, "sphere", gradient=grad, moment=moment,
-                         nodes=len(quad.nodes))
+    return PolarIntegral(value, method, gradient=grad, moment=moment, nodes=nodes)
 
 
 def _polar_box(spec, z):

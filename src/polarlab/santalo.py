@@ -129,19 +129,13 @@ def santalo_point(spec: funcmodel.FunctionSpec, s,
     quad = quad or pint.default_quadrature(d, s)
     h0 = pint.node_support(spec, s, quad)
     U = quad.nodes[:, :d]
-    w = quad.weights
-    pref = s / (2.0 * (d + s))
 
     def feasible(z):
         return float(np.min(h0 - U @ z)) > 0.0
 
     def vg(z):
-        h = h0 - U @ z
-        if h.min() <= 0:
-            raise DomainError("infeasible center")
-        val = pref * float(np.sum(w * h ** (-(d + s))))
-        grad = 0.5 * s * (U.T @ (w * h ** (-(d + s + 1))))
-        return val, grad
+        res = pint.phi_gradient(spec, s, z, quad, with_moment=False)
+        return res.value, res.gradient
 
     if not feasible(z0):
         z0 = np.zeros(d) if feasible(np.zeros(d)) else z0 * 0.5

@@ -40,24 +40,36 @@ __all__ = [
 # s-polar transform
 
 
-def _zoom_min(numer_fn, lo, hi, stages=3, m=65):
-    """Vectorized min over rho in [lo, hi] of a per-row family of 1d
-    functions; lo/hi are arrays (one interval per row)."""
-    lo = lo.copy()
-    hi = hi.copy()
-    best = np.full(len(lo), np.inf)
-    for stage in range(stages):
-        k = m if stage == 0 else 33
-        t = np.linspace(0.0, 1.0, k)
-        rho = lo[:, None] + (hi - lo)[:, None] * t[None, :]
-        vals = numer_fn(rho)
-        idx = np.argmin(vals, axis=1)
-        rows = np.arange(len(lo))
-        best = np.minimum(best, vals[rows, idx])
-        step = (hi - lo) / (k - 1)
-        center = rho[rows, idx]
-        lo = np.maximum(lo, center - step)
-        hi = np.minimum(hi, center + step)
+# golden-section step: each iteration keeps this fraction of the bracket
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 60  # R/8 * _GOLDEN**60 is about 4e-14 R
+_COARSE = 17        # coarse grid per row that brackets the s-polar minimizer
+_BLOCK = 1 << 13    # rows per block of the s-polar radial kernel
+
+
+def _golden_min(fn, lo, width):
+    """Per row, the least value fn takes at the points of a golden-section
+    search over [lo, lo + width] (lo an array, one bracket per row; width a
+    number, the same for every row).
+
+    fn maps an (n, 1) array of rho to (n, 1) values.  The search is exact
+    when fn is unimodal on each bracket; ties keep the left part, so +inf
+    past the end of a support never draws the search away from it.  Each
+    step keeps a bracket _GOLDEN times as wide, one of whose two inner
+    points is an inner point of the last one, so only the other is new.
+    """
+    w = width
+    fc = fn((lo + (1.0 - _GOLDEN) * w)[:, None])[:, 0]
+    fd = fn((lo + _GOLDEN * w)[:, None])[:, 0]
+    best = np.minimum(fc, fd)
+    for _ in range(_GOLDEN_STEPS):
+        left = fc <= fd  # the minimum lies in the left part [lo, lo + _GOLDEN w]
+        lo = np.where(left, lo, lo + (1.0 - _GOLDEN) * w)
+        w *= _GOLDEN
+        x = lo + np.where(left, (1.0 - _GOLDEN) * w, _GOLDEN * w)
+        fx = fn(x[:, None])[:, 0]
+        best = np.minimum(best, fx)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
     return best
 
 
@@ -92,6 +104,19 @@ def s_polar_batch(spec: funcmodel.FunctionSpec, s: float, Y: np.ndarray,
 
 
 def _s_polar_radial(ri: funcmodel.RadialInfo, s, Y, c0):
+    """min over rho in [0, R) of (A - rho q)^s / f_rad(rho) per row.
+
+    For every radial family with a bounded support (hhat^e, and log_approx
+    of a Gaussian or of exp_neg_norm, each possibly shifted) this ratio has
+    one stationary point on [0, R), a minimum: for hhat^e and log_approx of
+    a Gaussian, f_rad = (1 - (rho/r)^2)^m and d/drho of its log vanishes
+    where (s - 2m) q rho^2 + 2m r^2 A rho - s q r^2 is zero, the one root
+    of that quadratic in (0, R), as it is negative at 0 and positive at R;
+    for log_approx of exp_neg_norm, f_rad^(1/s') = 1 - a rho / s' is
+    affine, and so is the numerator's base.  So the least of a coarse grid
+    brackets the minimizer between its neighbours, and golden section on
+    that bracket finds it.
+    """
     q = np.linalg.norm(Y, axis=1)
     A = c0 - Y @ ri.center
     out = np.zeros(len(Y))
@@ -106,21 +131,24 @@ def _s_polar_radial(ri: funcmodel.RadialInfo, s, Y, c0):
     at0 = live & (q == 0)
     out[at0] = np.maximum(0.0, A[at0]) ** s / sup
     rows = np.nonzero(live & (q > 0))[0]
-    if len(rows):
-        Ar = A[rows]
-        qr = q[rows]
+    grid = np.linspace(0.0, R, _COARSE)
+    step = grid[1]
+    for a in range(0, len(rows), _BLOCK):
+        blk = rows[a:a + _BLOCK]
+        Ab = A[blk, None]
+        qb = q[blk, None]
 
         def ratio(rho):
-            numer = np.maximum(0.0, Ar[:, None] - rho * qr[:, None]) ** s
+            numer = np.maximum(0.0, Ab - rho * qb) ** s
             denom = ri.f_rad(rho)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                v = numer / denom
-            v[denom <= 0] = np.inf
-            return v
+                return np.where(denom > 0, numer / denom, np.inf)
 
-        lo = np.zeros(len(rows))
-        hi = np.full(len(rows), R * (1.0 - 1e-12))
-        out[rows] = _zoom_min(ratio, lo, hi, stages=4, m=129)
+        coarse = ratio(grid[None, :])
+        k = np.argmin(coarse, axis=1)
+        # the minimizer lies between the neighbours of the least grid point
+        best = _golden_min(ratio, grid[k.clip(1, _COARSE - 2) - 1], 2.0 * step)
+        out[blk] = np.minimum(coarse[np.arange(len(blk)), k], best)
     return out
 
 
@@ -348,29 +376,42 @@ def log_polar_batch(spec: funcmodel.FunctionSpec, Y: np.ndarray,
     return res
 
 
+def _lower_hull(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Indices of the vertices of the lower convex hull of the points
+    (x_j, p_j); x is increasing and p finite.
+
+    p need not be convex (a convex function sampled in floating point is so
+    only up to rounding): every point strictly above the chord of its kept
+    neighbours goes, all at once, until none is left.
+    """
+    idx = np.arange(len(x))
+    while len(idx) > 2:
+        xk = x[idx]
+        pk = p[idx]
+        above = ((pk[1:-1] - pk[:-2]) * (xk[2:] - xk[:-2])
+                 > (pk[2:] - pk[:-2]) * (xk[1:-1] - xk[:-2]))
+        if not above.any():
+            break
+        idx = idx[np.concatenate(([True], ~above, [True]))]
+    return idx
+
+
 def _conjugate_1d(x: np.ndarray, p: np.ndarray, y: np.ndarray) -> np.ndarray:
     """max_j (y_i x_j - p_j) over the finite p_j, exactly; -inf where none is.
 
     x is increasing.  The max is attained on the lower convex hull of the
-    points (x_j, p_j), at the vertex where the hull's slopes pass y.  p need
-    not be convex (it is so only up to rounding), hence the pruning loop and
-    the look at both neighbours of that vertex.
+    points (x_j, p_j), at the vertex where the hull's slopes pass y; p is
+    convex only up to rounding, hence the look at both neighbours of that
+    vertex.
     """
     fin = np.isfinite(p)
     if not fin.any():
         return np.full(len(y), -np.inf)
     x = x[fin]
     p = p[fin]
-    # drop, all at once, every point strictly above the chord of its kept
-    # neighbours (none of them is a hull vertex), until none is left
-    while len(x) > 2:
-        above = ((p[1:-1] - p[:-2]) * (x[2:] - x[:-2])
-                 > (p[2:] - p[:-2]) * (x[1:-1] - x[:-2]))
-        if not above.any():
-            break
-        keep = np.concatenate(([True], ~above, [True]))
-        x = x[keep]
-        p = p[keep]
+    hull = _lower_hull(x, p)
+    x = x[hull]
+    p = p[hull]
     k = np.searchsorted(np.diff(p) / np.diff(x), y)
     best = np.full(len(y), -np.inf)
     for j in (k - 1, k, k + 1):

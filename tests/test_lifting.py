@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from polarlab import funcmodel as fm
 from polarlab import integration, lifting
@@ -67,6 +68,42 @@ class TestLiftedSupport:
         gap = lifting.LiftedBody(spec, 2.0).support_batch(U) - dense
         assert gap.min() >= -1e-12
         assert gap.max() <= 0.01
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 5.0])
+    def test_hhat_lift_is_unit_ball_to_rounding(self, d, s):
+        rng = np.random.default_rng(d)
+        U = rng.normal(size=(2000, d + 1))
+        # near the equator (u_{d+1} -> 0) and near the poles
+        U[:20, d] = np.logspace(-12, -2, 20)
+        U[20:40, :d] = 1e-6 * rng.normal(size=(20, d))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        h = lifting.LiftedBody(hhat_spec(d, s), s).support_batch(U)
+        np.testing.assert_allclose(h, 1.0, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("e", [5.0, 40.0])
+    def test_concave_then_convex_objective(self, e, brute_min):
+        # p = (1 - rho^2)^(e/(2s)) is concave, then convex: as y = a/v grows
+        # past y_tie, the maximum of a rho + v p(rho) jumps from an interior
+        # point to rho = 1, and a finite sample of p misplaces the jump
+        s = 0.5
+
+        def p(r):
+            return np.maximum(0.0, 1.0 - r * r) ** (e / (2.0 * s))
+
+        def best(a, v, lo, hi):
+            return -brute_min(lambda r: -(a * r + v * p(r)), lo, hi)
+
+        y_tie = optimize.brentq(lambda y: best(y, 1.0, 0.0, 0.5) - y, 0.5, 2.0,
+                                xtol=1e-15)
+        y = np.concatenate([np.tan(np.linspace(0.0, 0.5 * math.pi, 301)),
+                            y_tie * (1.0 + np.linspace(-2e-7, 2e-7, 401))])
+        U = np.stack([y, np.ones_like(y)], axis=1)
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        spec = fm.FunctionSpec(1, fm.SConcave(e), fm.HhatPower(e))
+        h = lifting.LiftedBody(spec, s).support_batch(U)
+        for (a, v), got in zip(U, h):
+            assert got >= max(best(a, v, 0.0, 0.5), best(a, v, 0.5, 1.0)) - 1e-12
 
     def test_nonunit_direction_rejected(self):
         from polarlab.errors import InputError

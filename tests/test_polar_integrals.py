@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from polarlab import funcmodel as fm
 from polarlab import polar_integrals as pint
+from polarlab import santalo, transforms
 from polarlab.errors import DomainError, InputError
 
 
@@ -79,6 +81,96 @@ class TestPhiSphere:
         v1 = pint.phi_sphere(base, 1.0, np.array([0.1])).value
         v2 = pint.phi_sphere(shifted, 1.0, np.array([0.4])).value
         assert v1 == pytest.approx(v2, rel=1e-9)
+
+
+def polytope_spec(V, s):
+    return fm.FunctionSpec(V.shape[1], fm.SConcave(s),
+                           fm.PolytopeIndicator(tuple(map(tuple, V))))
+
+
+def box_vertices(d):
+    half = np.array([1.0, 0.7, 1.3])[:d]
+    corners = np.stack(np.meshgrid(*([np.array([-1.0, 1.0])] * d), indexing="ij"),
+                       axis=-1).reshape(-1, d)
+    return 0.1 + corners * half
+
+
+def simplex_vertices(d):
+    V = np.vstack([np.zeros(d), np.eye(d)]) * 1.3
+    return V + np.random.default_rng(d).uniform(-0.1, 0.1, size=V.shape)
+
+
+def polar_volume_and_moment(V, z):
+    """vol((P - z)°) and int over (P - z)° of y dy, P = conv V, from the
+    vertex description: (P - z)° = {y : <y, v - z> <= 1 for v in V}."""
+    W = V - z
+    d = V.shape[1]
+    if d == 1:
+        lo, hi = -1.0 / -W.min(), 1.0 / W.max()
+        return hi - lo, np.array([0.5 * (hi * hi - lo * lo)])
+    from scipy.spatial import ConvexHull, HalfspaceIntersection
+
+    hs = HalfspaceIntersection(np.column_stack([W, -np.ones(len(W))]), np.zeros(d))
+    Q = hs.intersections
+    hull = ConvexHull(Q)
+    # cones from the origin over the boundary simplices
+    vols = np.abs(np.linalg.det(Q[hull.simplices])) / math.factorial(d)
+    cents = Q[hull.simplices].sum(axis=1) / (d + 1)
+    return hull.volume, vols @ cents
+
+
+class TestPolytopeExact:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("shape", ["box", "simplex"])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 5.0])
+    def test_against_polar_volume(self, d, shape, s):
+        V = box_vertices(d) if shape == "box" else simplex_vertices(d)
+        spec = polytope_spec(V, s)
+        # int (1 - |y|_K)_+^s dy = d B(d, s + 1) vol K, and the gradient of
+        # vol((P - z)°) is (d + 1) times the first moment of (P - z)°
+        c = d * special.beta(d, s + 1.0)
+        rng = np.random.default_rng(d)
+        for w in rng.dirichlet(np.ones(len(V)), size=4):
+            z = w @ V
+            vol, mom = polar_volume_and_moment(V, z)
+            assert pint.phi_sphere(spec, s, z).value == pytest.approx(c * vol, rel=1e-12)
+            res = pint.phi_gradient(spec, s, z, with_moment=False)
+            assert res.value == pytest.approx(c * vol, rel=1e-12)
+            np.testing.assert_allclose(res.gradient, c * (d + 1) * mom, rtol=1e-12,
+                                       atol=1e-12 * np.abs(mom).max())
+
+    def test_box_santalo_point_is_its_centre(self):
+        res = santalo.santalo_point(polytope_spec(box_vertices(3), 1.0), 1.0,
+                                    compute_moment=False)
+        assert res.converged
+        np.testing.assert_allclose(res.z_star, 0.1, rtol=0.0, atol=1e-9)
+
+    def test_non_interior_centre_raises(self):
+        spec = polytope_spec(box_vertices(2), 2.0)
+        for z in ([1.1, 0.1], [1.2, 0.9], [-2.0, 0.0]):
+            with pytest.raises(DomainError):
+                pint.phi_sphere(spec, 2.0, np.array(z))
+            with pytest.raises(DomainError):
+                pint.phi_gradient(spec, 2.0, np.array(z), with_moment=False)
+
+
+class TestCusp:
+    def test_s5_cusp_closed_form(self):
+        # f = (1 - a|x|/s)_+^s lifts to a rhombus, so L_s(shift(f, z))(y) =
+        # (1 + z y)^s on [-1/(R + z), 1/(R - z)], R = s/a
+        s = 5.0
+        for a in (0.7, 1.3, 2.0):
+            inner = fm.FunctionSpec(1, fm.LogConcave(), fm.ExpNegNorm(a))
+            spec = transforms.s_approx(inner, s)
+            R = s / a
+            for z in (0.0, 0.35 * R, -0.2 * R):
+                if z == 0.0:
+                    want = 2.0 / R
+                else:
+                    want = ((R / (R - z)) ** (s + 1) - (R / (R + z)) ** (s + 1)) / (
+                        z * (s + 1.0))
+                got = pint.phi_sphere(spec, s, np.array([z])).value
+                assert got == pytest.approx(want, rel=1e-3)
 
 
 def pool_grid_d2():

@@ -83,6 +83,63 @@ class TestSPolar:
         np.testing.assert_allclose(got, want, atol=5e-3)
 
 
+S_SET = (0.5, 1.0, 2.0, 5.0)
+
+
+def radial_case(name, e):
+    """(spec, support radius, profile) of a radial family in d = 2, the
+    profile written out from its definition."""
+    if name == "hhat":
+        spec = fm.FunctionSpec(2, fm.SConcave(e), fm.HhatPower(e))
+        return spec, 1.0, lambda r: np.maximum(0.0, 1.0 - r * r) ** (e / 2.0)
+    if name == "gaussian":
+        sg = 0.8
+        inner = fm.FunctionSpec(2, fm.LogConcave(), fm.Gaussian((0.0, 0.0), sg))
+        return (transforms.s_approx(inner, e), sg * math.sqrt(2.0 * e),
+                lambda r: np.maximum(0.0, 1.0 - r * r / (2.0 * sg * sg * e)) ** e)
+    a = 1.3
+    inner = fm.FunctionSpec(2, fm.LogConcave(), fm.ExpNegNorm(a))
+    return (transforms.s_approx(inner, e), e / a,
+            lambda r: np.maximum(0.0, 1.0 - a * r / e) ** e)
+
+
+class TestRadialKernel:
+    @pytest.mark.parametrize("name", ["hhat", "gaussian", "exp"])
+    @pytest.mark.parametrize("e", S_SET)
+    def test_matches_brute_force(self, name, e, brute_min):
+        spec, R, f = radial_case(name, e)
+        rng = np.random.default_rng(int(10 * e))
+        th = rng.uniform(0.0, 2.0 * math.pi, 12)
+        # radii up to 1e-3 short of the edge of supp L_s f: nearer, the ratio
+        # itself carries a relative rounding error of about s 1e-16 / (1 - |y| R)
+        r = np.concatenate([rng.uniform(0.0, 1.0, 8), 1.0 - np.logspace(-3, -1, 4)]) / R
+        Y = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+        for s in S_SET:
+            got = transforms.s_polar_batch(spec, s, Y)
+            for y, g in zip(Y, got):
+                q = float(np.linalg.norm(y))
+
+                def ratio(rho, q=q):
+                    fr = f(rho)
+                    with np.errstate(divide="ignore"):
+                        return np.where(fr > 0.0, np.maximum(0.0, 1.0 - rho * q) ** s / fr,
+                                        np.inf)
+
+                assert g == pytest.approx(brute_min(ratio, 0.0, R), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("s", S_SET)
+    def test_self_polarity_up_to_the_boundary(self, d, s):
+        spec = hhat_spec(d, s)
+        rng = np.random.default_rng(d)
+        U = rng.normal(size=(64, d))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        r = np.concatenate([np.linspace(0.0, 0.99, 32), 1.0 - np.logspace(-9, -2, 32)])
+        Y = U * r[:, None]
+        got = transforms.s_polar_batch(spec, s, Y)
+        np.testing.assert_allclose(got, fm.evaluate_batch(spec, Y), rtol=0.0, atol=1e-9)
+
+
 class TestLegendre:
     def test_quadratic_fixed_point(self):
         ev = transforms.legendre_evaluator(
