@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Union
 
@@ -424,6 +424,10 @@ class RadialInfo:
     radius: float  # support radius; may be inf
     f_rad: object  # vectorized profile of rho
     indicator: bool = False
+    # f_rad in closed form, where it has one: (k, m, r) for
+    # (1 - (rho/r)^k)_+^m, and (k, r) for exp(-(rho/r)^k)
+    profile: Optional[tuple] = None
+    log_profile: Optional[tuple] = None
 
     def truncated_radius(self, eps_tail: float) -> float:
         if np.isfinite(self.radius):
@@ -452,21 +456,23 @@ def _radial(spec: FunctionSpec) -> Optional[RadialInfo]:
     if isinstance(fam, HhatPower):
         e = fam.s_exponent
         return RadialInfo(np.zeros(d), 1.0,
-                          lambda r: np.maximum(0.0, 1.0 - np.asarray(r) ** 2) ** (e / 2.0))
+                          lambda r: np.maximum(0.0, 1.0 - np.asarray(r) ** 2) ** (e / 2.0),
+                          profile=(2, e / 2.0, 1.0))
     if isinstance(fam, Gaussian):
         sg = fam.sigma
         return RadialInfo(np.asarray(fam.center), np.inf,
-                          lambda r: np.exp(-np.asarray(r) ** 2 / (2.0 * sg**2)))
+                          lambda r: np.exp(-np.asarray(r) ** 2 / (2.0 * sg**2)),
+                          log_profile=(2, sg * math.sqrt(2.0)))
     if isinstance(fam, ExpNegNorm):
         a = fam.scale
         return RadialInfo(np.zeros(d), np.inf,
-                          lambda r: np.exp(-a * np.asarray(r)))
+                          lambda r: np.exp(-a * np.asarray(r)),
+                          log_profile=(1, 1.0 / a))
     if isinstance(fam, Shifted):
         ri = fam.inner.radial
         if ri is None:
             return None
-        return RadialInfo(ri.center + np.asarray(fam.offset), ri.radius, ri.f_rad,
-                          ri.indicator)
+        return replace(ri, center=ri.center + np.asarray(fam.offset))
     if isinstance(fam, LogApprox):
         ri = fam.inner.radial
         if ri is None:
@@ -480,7 +486,12 @@ def _radial(spec: FunctionSpec) -> Optional[RadialInfo]:
 
         # support radius: where log f_inner drops to -s
         radius = min(ri.radius, ri.truncated_radius(math.exp(-s)))
-        return RadialInfo(ri.center, radius, f_rad)
+        profile = None
+        if ri.log_profile is not None:
+            # 1 - (rho/r)^k / s = 1 - (rho / (r s^(1/k)))^k
+            k, r = ri.log_profile
+            profile = (k, s, r * s ** (1.0 / k))
+        return RadialInfo(ri.center, radius, f_rad, profile=profile)
     return None
 
 

@@ -20,6 +20,7 @@ from .integration import (  # noqa: F401  (re-exported oracle interface)
     SPHERE_SURFACE,
     IntegrationConfig,
     MonteCarloConfig,
+    _midpoint_chunks,
     integrate_grid,
     midpoint_box,
     richardson_box,
@@ -207,12 +208,19 @@ def _shifted_support(spec, s, z, quad) -> np.ndarray:
     return h
 
 
+def _polytope_support(spec: funcmodel.FunctionSpec):
+    """The support of spec when spec is the indicator of a polytope, None for
+    any other spec."""
+    if funcmodel.is_indicator(spec) and isinstance(spec.support, funcmodel._Polytope):
+        return spec.support
+    return None
+
+
 def _polytope_polar(spec: funcmodel.FunctionSpec):
     """`polar_cells` of the support when spec is the indicator of a
     polytope, None for any other spec."""
-    if funcmodel.is_indicator(spec) and isinstance(spec.support, funcmodel._Polytope):
-        return spec.support.polar_cells
-    return None
+    P = _polytope_support(spec)
+    return None if P is None else P.polar_cells
 
 
 def _polytope_phi(poly, s: float, z) -> Tuple[float, np.ndarray]:
@@ -235,6 +243,15 @@ def _polytope_phi(poly, s: float, z) -> Tuple[float, np.ndarray]:
     return float(term.sum()), A.T @ (per_facet / c)
 
 
+def _quadrature(d: int, s: float, quad: Optional[SphereQuadrature]) -> SphereQuadrature:
+    """quad, or the default rule for (d, s); InputError if quad is for
+    another (d, s)."""
+    quad = quad or default_quadrature(d, s)
+    if quad.d != d or quad.s != s:
+        raise InputError("quadrature does not match (d, s)")
+    return quad
+
+
 def phi_sphere(spec: funcmodel.FunctionSpec, s: float, z,
                quad: Optional[SphereQuadrature] = None,
                error_estimate: bool = False) -> PolarIntegral:
@@ -244,9 +261,7 @@ def phi_sphere(spec: funcmodel.FunctionSpec, s: float, z,
     "exact", error estimate 0).
     """
     d = spec.dimension
-    quad = quad or default_quadrature(d, s)
-    if quad.d != d or quad.s != s:
-        raise InputError("quadrature does not match (d, s)")
+    quad = _quadrature(d, s, quad)
     poly = _polytope_polar(spec)
     if poly is not None:
         value, _ = _polytope_phi(poly, s, z)
@@ -279,7 +294,7 @@ def phi_gradient(spec: funcmodel.FunctionSpec, s: float, z,
     minimizer of Phi.
     """
     d = spec.dimension
-    quad = quad or default_quadrature(d, s)
+    quad = _quadrature(d, s, quad)
     poly = _polytope_polar(spec)
     if poly is not None:
         value, grad = _polytope_phi(poly, s, z)
@@ -304,15 +319,88 @@ def _polar_box(spec, z):
 def phi_oracle(spec: funcmodel.FunctionSpec, s: float, z,
                cfg: Optional[IntegrationConfig] = None) -> PolarIntegral:
     """Brute-force Phi(z): midpoint integration of L_s(shift(f, z)) over the
-    exact bounding box of its support, with Richardson extrapolation."""
+    exact bounding box of its support, with Richardson extrapolation.
+
+    Polytope indicators integrate L_s exactly along the last axis instead
+    (`_polytope_oracle`)."""
     cfg = cfg or IntegrationConfig()
     d = spec.dimension
     z = np.asarray(z, dtype=float)
     lo, hi = _polar_box(spec, z)
     n = cfg.resolution if cfg.resolution is not None else _ORACLE_RES[d]
+    P = _polytope_support(spec)
+    if P is not None:
+        return _polytope_oracle(P.points - z, s, lo[:-1], hi[:-1], n)
     ev = transforms.SPolarEvaluator(spec, s, tuple(z))
     value, err = richardson_box(ev, lo, hi, n)
     return PolarIntegral(value, "oracle", err_est=err, nodes=(2 * n) ** d)
+
+
+_LINE_BLOCK = 1 << 22  # entries of the (rows, pieces, lines) array of _line_integrals
+
+
+def _line_integrals(alpha: np.ndarray, beta: np.ndarray, s: float) -> np.ndarray:
+    """int over t in R of (min_j alpha_ij - beta_j t)_+^s, exactly, per row i.
+
+    Lines of equal slope merge into their least.  The min of the lines is
+    one line between consecutive breakpoints (the zero of each line and the
+    crossing of each pair), where it is also of one sign.  On a piece
+    [t0, t1] where it is positive with end values u0, u1, the integral is
+    (t1 - t0) hi^s (1 - x^(s+1)) / ((s+1)(1 - x)), hi = max(u0, u1),
+    x = min(u0, u1) / hi, taken stably near x = 1.
+    """
+    beta, group = np.unique(beta, return_inverse=True)
+    alpha = np.stack([alpha[:, group == g].min(axis=1) for g in range(len(beta))], axis=1)
+    n, m = alpha.shape
+    iu, ju = np.triu_indices(m, 1)
+    step = max(1, _LINE_BLOCK // (m * m * (m + 1) // 2))
+    out = np.empty(n)
+    for a in range(0, n, step):
+        al = alpha[a:a + step]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.concatenate([al / beta, (al[:, iu] - al[:, ju]) / (beta[iu] - beta[ju])],
+                               axis=1)
+        t[~np.isfinite(t)] = 0.0  # a line of slope 0 has no zero: a harmless split
+        t.sort(axis=1)
+        t0, t1 = t[:, :-1], t[:, 1:]
+        mid = 0.5 * (t0 + t1)
+        j = (al[:, None, :] - mid[:, :, None] * beta).argmin(axis=2)
+        ak, bk = np.take_along_axis(al, j, axis=1), beta[j]
+        u0 = np.maximum(0.0, ak - bk * t0)
+        u1 = np.maximum(0.0, ak - bk * t1)
+        top = np.maximum(u0, u1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.minimum(u0, u1) / top
+            mean = top**s * np.where(
+                x < 1.0, -np.expm1((s + 1.0) * np.log(x)) / ((s + 1.0) * (1.0 - x)), 1.0)
+        out[a:a + len(al)] = np.where(ak - bk * mid > 0.0, (t1 - t0) * mean, 0.0).sum(axis=1)
+    return out
+
+
+def _polytope_oracle(D: np.ndarray, s: float, lo, hi, n: int) -> PolarIntegral:
+    """Phi(z) for the indicator of conv(points), from D = points - z.
+
+    L_s(shift(f, z))(y) = (min_j 1 - <D_j, y>)_+^s is integrated exactly
+    along y_d (`_line_integrals`) and by the midpoint rule over the box
+    [lo, hi] of the other axes, at 2n and 4n cells a side: the finer value,
+    with their difference as the error estimate.  It reads nothing of the
+    lifted body or of the closed form.
+    """
+    d = D.shape[1]
+    beta = D[:, -1]
+    if d == 1:
+        value = float(_line_integrals(np.ones((1, len(D))), beta, s)[0])
+        return PolarIntegral(value, "oracle", err_est=0.0, nodes=1)
+    values = []
+    for cells in (2 * n, 4 * n):
+        total = 0.0
+        for Yp, cell in _midpoint_chunks(lo, hi, cells):
+            total += float(np.sum(_line_integrals(1.0 - Yp @ D[:, :-1].T, beta, s))) * cell
+        values.append(total)
+    if not math.isfinite(values[1]):
+        raise NumericError("grid integral did not converge")
+    return PolarIntegral(values[1], "oracle", err_est=abs(values[1] - values[0]),
+                         nodes=(4 * n) ** (d - 1))
 
 
 def polar_moment(spec: funcmodel.FunctionSpec, s: float, z,
@@ -324,8 +412,6 @@ def polar_moment(spec: funcmodel.FunctionSpec, s: float, z,
     lo, hi = _polar_box(spec, z)
     n = cfg.resolution if cfg.resolution is not None else _ORACLE_RES[d]
     ev = transforms.SPolarEvaluator(spec, s, tuple(z))
-    from .integration import _midpoint_chunks
-
     mass = 0.0
     mom = np.zeros(d)
     for Y, cell in _midpoint_chunks(lo, hi, 2 * n):

@@ -238,18 +238,23 @@ def region_convergence(spec: funcmodel.FunctionSpec, t: float,
 def sp_region_value(spec: funcmodel.FunctionSpec, s: float, w,
                     cfg: Optional[integration.IntegrationConfig] = None) -> float:
     """int f times the spherical functional of the lifted body shifted by the
-    full (d+1)-vector w."""
+    full (d+1)-vector w.  On the slice w = (z, 0) of a polytope indicator
+    that functional is Phi(z), taken in closed form."""
     cfg = cfg or integration.IntegrationConfig()
     d = spec.dimension
     w = np.asarray(w, dtype=float)
     if w.shape != (d + 1,):
         raise InputError("w must be a (d+1)-vector")
-    quad = pint.default_quadrature(d, s)
-    h0 = pint.node_support(spec, s, quad)
-    h = h0 - quad.nodes @ w
-    if h.min() <= 0:
-        raise DomainError("w is not interior to the lifted body")
-    val = s / (2.0 * (d + s)) * float(np.sum(quad.weights * h ** (-(d + s))))
+    poly = pint._polytope_polar(spec)
+    if poly is not None and w[d] == 0.0:
+        val, _ = pint._polytope_phi(poly, s, w[:d])
+    else:
+        quad = pint.default_quadrature(d, s)
+        h0 = pint.node_support(spec, s, quad)
+        h = h0 - quad.nodes @ w
+        if h.min() <= 0:
+            raise DomainError("w is not interior to the lifted body")
+        val = s / (2.0 * (d + s)) * float(np.sum(quad.weights * h ** (-(d + s))))
     base, _ = pint.integrate_grid(spec, cfg)
     return base * val
 

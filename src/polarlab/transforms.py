@@ -43,8 +43,6 @@ __all__ = [
 # golden-section step: each iteration keeps this fraction of the bracket
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 60  # R/8 * _GOLDEN**60 is about 4e-14 R
-_COARSE = 17        # coarse grid per row that brackets the s-polar minimizer
-_BLOCK = 1 << 13    # rows per block of the s-polar radial kernel
 
 
 def _golden_min(fn, lo, width):
@@ -90,7 +88,7 @@ def s_polar_batch(spec: funcmodel.FunctionSpec, s: float, Y: np.ndarray,
         return np.maximum(0.0, c0 - h) ** s
 
     ri = funcmodel.radial_info(spec)
-    if ri is not None:
+    if ri is not None and (ri.profile is not None or not np.isfinite(ri.radius)):
         return _s_polar_radial(ri, s, Y, c0)
 
     fam = spec.family
@@ -104,52 +102,46 @@ def s_polar_batch(spec: funcmodel.FunctionSpec, s: float, Y: np.ndarray,
 
 
 def _s_polar_radial(ri: funcmodel.RadialInfo, s, Y, c0):
-    """min over rho in [0, R) of (A - rho q)^s / f_rad(rho) per row.
+    """min over rho in [0, R) of (A - rho q)^s / f_rad(rho) per row, in
+    closed form.
 
-    For every radial family with a bounded support (hhat^e, and log_approx
-    of a Gaussian or of exp_neg_norm, each possibly shifted) this ratio has
-    one stationary point on [0, R), a minimum: for hhat^e and log_approx of
-    a Gaussian, f_rad = (1 - (rho/r)^2)^m and d/drho of its log vanishes
-    where (s - 2m) q rho^2 + 2m r^2 A rho - s q r^2 is zero, the one root
-    of that quadratic in (0, R), as it is negative at 0 and positive at R;
-    for log_approx of exp_neg_norm, f_rad^(1/s') = 1 - a rho / s' is
-    affine, and so is the numerator's base.  So the least of a coarse grid
-    brackets the minimizer between its neighbours, and golden section on
-    that bracket finds it.
+    A bounded support comes with the profile f_rad = (1 - (rho/r)^k)^m
+    (hhat^e: k = 2, m = e/2, r = 1; log_approx of a Gaussian: k = 2,
+    m = s', r = sigma sqrt(2 s'); of exp_neg_norm: k = 1, m = s',
+    r = s'/a; R is r up to rounding).  The log of the ratio,
+    s log(A - rho q) - m log(1 - (rho/r)^k), tends to +inf as rho -> r and
+    has at most one stationary point on [0, r), its minimum:
+    - k = 2: the one root in (0, r) of (s - 2m) q rho^2 + 2m A rho - s q r^2,
+      which is negative at 0 and positive at r when A > q r;
+    - k = 1: rho = (s q r - m A) / (q (s - m)), the zero of an affine
+      function; it lies past r when s < m and is non-finite when s = m, and
+      then the ratio increases.
+    Clipped to [0, R], it competes with rho = 0.
     """
     q = np.linalg.norm(Y, axis=1)
     A = c0 - Y @ ri.center
-    out = np.zeros(len(Y))
-    sup = float(np.max(ri.f_rad(np.array([0.0]))))  # profiles peak at center
     if not np.isfinite(ri.radius):
         # full support: the numerator vanishes inside supp f for any y != 0
+        out = np.zeros(len(Y))
         at0 = q == 0
+        sup = float(np.max(ri.f_rad(np.array([0.0]))))  # profiles peak at center
         out[at0] = np.maximum(0.0, c0[at0]) ** s / sup
         return out
     R = ri.radius
-    live = A > q * R  # otherwise the numerator hits 0 inside the support
-    at0 = live & (q == 0)
-    out[at0] = np.maximum(0.0, A[at0]) ** s / sup
-    rows = np.nonzero(live & (q > 0))[0]
-    grid = np.linspace(0.0, R, _COARSE)
-    step = grid[1]
-    for a in range(0, len(rows), _BLOCK):
-        blk = rows[a:a + _BLOCK]
-        Ab = A[blk, None]
-        qb = q[blk, None]
-
-        def ratio(rho):
-            numer = np.maximum(0.0, Ab - rho * qb) ** s
-            denom = ri.f_rad(rho)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                return np.where(denom > 0, numer / denom, np.inf)
-
-        coarse = ratio(grid[None, :])
-        k = np.argmin(coarse, axis=1)
-        # the minimizer lies between the neighbours of the least grid point
-        best = _golden_min(ratio, grid[k.clip(1, _COARSE - 2) - 1], 2.0 * step)
-        out[blk] = np.minimum(coarse[np.arange(len(blk)), k], best)
-    return out
+    k, m, r = ri.profile
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if k == 2:
+            b = 2.0 * m * A
+            disc = np.maximum(0.0, b * b + 4.0 * (s - 2.0 * m) * s * (q * r) ** 2)
+            rho = 2.0 * s * q * r * r / (b + np.sqrt(disc))
+        else:
+            rho = (s * q * r - m * A) / (q * (s - m))
+        rho = np.clip(rho, 0.0, R)
+        v = np.exp(s * np.log(A - rho * q) - m * np.log1p(-(rho / r) ** k))
+        # fmin drops a nan (rho past r) for the value at rho = 0
+        v = np.fmin(v, A ** s)
+    # otherwise the numerator hits 0 inside the support
+    return np.where(A > q * R, v, 0.0)
 
 
 def _s_polar_grid(spec, s, Y, c0):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import integrate, optimize
 
 
 def _brute_min(fn, lo, hi, n=20001):
@@ -24,3 +24,31 @@ def _brute_min(fn, lo, hi, n=20001):
 @pytest.fixture
 def brute_min():
     return _brute_min
+
+
+def _line_integral(alpha, beta, s):
+    """int over t of (min_j alpha_j - beta_j t)_+^s for one row of lines, by
+    adaptive quadrature over the interval where the min is positive, with
+    every crossing of two lines inside it as a breakpoint.
+
+    Some beta_j must be positive and some negative, so that the interval is
+    bounded.  The reference the exact line integrals are checked against.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    lo = max(a / b for a, b in zip(alpha, beta) if b < 0)
+    hi = min(a / b for a, b in zip(alpha, beta) if b > 0)
+    if not lo < hi:
+        return 0.0
+    cross = [(alpha[i] - alpha[j]) / (beta[i] - beta[j])
+             for i in range(len(beta)) for j in range(i) if beta[i] != beta[j]]
+    inner = sorted(t for t in cross if lo < t < hi)
+    val, _ = integrate.quad(lambda t: max(0.0, float(np.min(alpha - beta * t))) ** s,
+                            lo, hi, points=inner or None, limit=200,
+                            epsabs=0.0, epsrel=1e-13)
+    return val
+
+
+@pytest.fixture
+def line_integral():
+    return _line_integral

@@ -243,3 +243,53 @@ class TestPhiLog:
         h = 1e-5
         fd = (pint.phi_log(g, z + h) - pint.phi_log(g, z - h)) / (2 * h)
         assert grad[0] == pytest.approx(fd, rel=1e-5)
+
+
+class TestPolytopeOracle:
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 5.0])
+    def test_line_integrals(self, s, line_integral):
+        rng = np.random.default_rng(int(4 * s))
+        for m in (2, 3, 5, 8):
+            # slopes of both signs, some equal, and one of slope 0
+            beta = rng.choice([-1.3, -0.4, 0.0, 0.7, 1.1, 2.5], size=m)
+            beta[:2] = (-0.8, 0.9)
+            alpha = rng.uniform(-0.3, 1.5, size=(30, m))
+            got = pint._line_integrals(alpha, beta, s)
+            want = [line_integral(a, beta, s) for a in alpha]
+            np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-14)
+
+    @pytest.mark.parametrize("d, tol", [(1, 1e-13), (2, 2e-5), (3, 5e-4)])
+    @pytest.mark.parametrize("shape", ["box", "simplex"])
+    def test_against_closed_form(self, d, tol, shape):
+        V = box_vertices(d) if shape == "box" else simplex_vertices(d)
+        rng = np.random.default_rng(d)
+        for s, w in zip((0.5, 5.0), rng.dirichlet(np.ones(len(V)), size=2)):
+            spec = polytope_spec(V, s)
+            z = w @ V
+            got = pint.phi_oracle(spec, s, z)
+            want = pint.phi_sphere(spec, s, z).value
+            assert got.value == pytest.approx(want, rel=tol)
+
+    def test_reads_neither_lifted_body_nor_closed_form(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the oracle must stay independent")
+
+        monkeypatch.setattr(pint, "_polytope_phi", boom)
+        monkeypatch.setattr(pint.lifting.LiftedBody, "support_batch", boom)
+        spec = polytope_spec(simplex_vertices(2), 2.0)
+        assert pint.phi_oracle(spec, 2.0, simplex_vertices(2).mean(axis=0)).value > 0.0
+
+
+class TestQuadratureChecked:
+    def test_phi_gradient_rejects_other_s(self):
+        # hhat^2 at d = 2, s = 2 with the s = 1 rule read pi, not pi / 2
+        q = pint.default_quadrature(2, 1.0)
+        with pytest.raises(InputError):
+            pint.phi_gradient(hhat_spec(2, 2.0), 2.0, np.zeros(2), quad=q,
+                              with_moment=False)
+
+    def test_phi_gradient_rejects_other_d(self):
+        q = pint.default_quadrature(1, 2.0)
+        with pytest.raises(InputError):
+            pint.phi_gradient(hhat_spec(2, 2.0), 2.0, np.zeros(2), quad=q,
+                              with_moment=False)

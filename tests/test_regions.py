@@ -98,3 +98,14 @@ class TestLiftedRegion:
     def test_bad_vector_length(self):
         with pytest.raises(InputError):
             regions.sp_region_value(hhat_spec(1, 2.0), 2.0, np.zeros(3))
+
+    def test_polytope_slice_is_exact(self):
+        # on w = (z, 0) the lifted functional of a polytope indicator is
+        # int f * Phi(z), which phi_sphere takes in closed form
+        spec = fm.FunctionSpec(2, fm.SConcave(1.0), fm.PolytopeIndicator(
+            ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))))
+        base, _ = pint.integrate_grid(spec)
+        for z in ([0.0, 0.0], [0.8, -0.7], [-0.3, 0.5]):
+            got = regions.sp_region_value(spec, 1.0, np.array(z + [0.0]))
+            want = base * pint.phi_sphere(spec, 1.0, np.array(z)).value
+            assert got == pytest.approx(want, rel=1e-12)

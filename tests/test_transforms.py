@@ -139,6 +139,52 @@ class TestRadialKernel:
         got = transforms.s_polar_batch(spec, s, Y)
         np.testing.assert_allclose(got, fm.evaluate_batch(spec, Y), rtol=0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("name", ["hhat", "gaussian", "exp"])
+    @pytest.mark.parametrize("s", [16.0, 64.0, 256.0])
+    @pytest.mark.parametrize("same", [False, True])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_large_s_in_log_space(self, name, s, same, shifted, brute_min):
+        # the family's own exponent e is s (s = s' for log_approx) or 2
+        spec, R, f = radial_case(name, s if same else 2.0)
+        c = np.array([0.3, -0.2]) if shifted else np.zeros(2)
+        z = c + np.array([-0.1, 0.05]) if shifted else None
+        if shifted:
+            spec = fm.FunctionSpec(2, spec.concavity_class, fm.Shifted(spec, tuple(c)))
+        rng = np.random.default_rng(int(s))
+        th = rng.uniform(0.0, 2.0 * math.pi, 10)
+        r = np.concatenate([rng.uniform(0.0, 1.0, 7), 1.0 - np.logspace(-3, -1, 3)])
+        Y = np.stack([r * np.cos(th), r * np.sin(th)], axis=1) / (R + 0.15)
+        got = transforms.s_polar_batch(spec, s, Y, z)
+        A = 1.0 + Y @ ((c if z is None else z) - c)
+        for y, a, g in zip(Y, A, got):
+            q = float(np.linalg.norm(y))
+
+            def log_ratio(rho, q=q, a=a):
+                # in log space: at large s the ratio itself underflows
+                with np.errstate(divide="ignore"):
+                    return s * np.log(np.maximum(0.0, a - rho * q)) - np.log(f(rho))
+
+            want = brute_min(log_ratio, 0.0, R)
+            if want < -700.0:
+                assert g < 1e-300
+            else:
+                assert math.log(g) == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+    def test_log_approx_without_closed_form(self, brute_min):
+        # log_approx of a log-concave hhat has no closed-form profile; it
+        # takes the generic search
+        inner = fm.FunctionSpec(1, fm.LogConcave(), fm.HhatPower(2.0))
+        spec = transforms.s_approx(inner, 3.0)
+        assert spec.radial.profile is None
+        for y in (0.2, -0.5):
+            def ratio(rho, y=y):
+                fr = np.maximum(0.0, 1.0 + np.log(np.maximum(1e-300, 1.0 - rho * rho)) / 3.0) ** 3
+                with np.errstate(divide="ignore"):
+                    return np.where(fr > 0.0, (1.0 - rho * abs(y)) ** 3.0 / fr, np.inf)
+
+            got = transforms.s_polar(spec, 3.0, np.array([y]))
+            assert got == pytest.approx(brute_min(ratio, 0.0, 1.0), rel=1e-8)
+
 
 class TestLegendre:
     def test_quadratic_fixed_point(self):
@@ -275,3 +321,19 @@ class TestSApprox:
             for key in ("s", "x", "L_s_value", "L_inf_value", "gap",
                         "mahler_s", "mahler_inf"):
                 assert key in r
+
+    @pytest.mark.parametrize("c, sigma, x", [(0.35, 0.7, 1.2), (-0.45, 1.3, -0.6),
+                                             (0.1, 0.6, -1.6)])
+    def test_convergence_gaps_do_not_grow(self, c, sigma, x):
+        # log_approx of an off-centre Gaussian along s = 4 ... 256: L_s f_s(x/s)
+        # approaches L_inf f(x) = exp(-c x - sigma^2 x^2 / 2), and the gaps
+        # shrink down to the accuracy of an s-polar value
+        g = fm.FunctionSpec(1, fm.LogConcave(), fm.Gaussian((c,), sigma))
+        rows = transforms.convergence_study(g, [(x,)], [4.0, 16.0, 64.0, 256.0])
+        assert all("warning" not in r for r in rows)
+        linf = math.exp(-c * x - 0.5 * sigma**2 * x * x)
+        for r in rows:
+            assert r["L_inf_value"] == pytest.approx(linf, rel=1e-6)
+        gaps = [r["gap"] for r in rows]
+        assert all(b <= a + 1e-6 for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 1e-2 * linf
