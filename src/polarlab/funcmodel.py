@@ -432,14 +432,24 @@ class RadialInfo:
     def truncated_radius(self, eps_tail: float) -> float:
         if np.isfinite(self.radius):
             return self.radius
-        lo, hi = 0.0, 1.0
-        while self.f_rad(np.array([hi]))[0] > eps_tail:
-            hi *= 2.0
-            if hi > 1e12:
-                raise NumericError("radial profile does not decay")
+        return self.level_radius(eps_tail)
+
+    def level_radius(self, level: float) -> float:
+        """Where f_rad drops to level, by bisection; the support radius when
+        f_rad stays above level up to it."""
+        if np.isfinite(self.radius):
+            if self.f_rad(np.array([self.radius]))[0] > level:
+                return self.radius
+            lo, hi = 0.0, self.radius
+        else:
+            lo, hi = 0.0, 1.0
+            while self.f_rad(np.array([hi]))[0] > level:
+                hi *= 2.0
+                if hi > 1e12:
+                    raise NumericError("radial profile does not decay")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if self.f_rad(np.array([mid]))[0] > eps_tail:
+            if self.f_rad(np.array([mid]))[0] > level:
                 lo = mid
             else:
                 hi = mid
@@ -485,7 +495,7 @@ def _radial(spec: FunctionSpec) -> Optional[RadialInfo]:
             return np.maximum(0.0, 1.0 + lg / _s) ** _s
 
         # support radius: where log f_inner drops to -s
-        radius = min(ri.radius, ri.truncated_radius(math.exp(-s)))
+        radius = ri.level_radius(math.exp(-s))
         profile = None
         if ri.log_profile is not None:
             # 1 - (rho/r)^k / s = 1 - (rho / (r s^(1/k)))^k

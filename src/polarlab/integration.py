@@ -120,13 +120,7 @@ def integrate_grid(spec: funcmodel.FunctionSpec,
         return radial_integral(ri.f_rad, spec.support.radius, d)
     fam = spec.family
     if isinstance(fam, funcmodel.PolytopeIndicator):
-        if d == 1:
-            V = np.asarray(fam.vertices, dtype=float)
-            vol = float(V[:, 0].max() - V[:, 0].min())
-        else:
-            from scipy.spatial import ConvexHull
-
-            vol = float(ConvexHull(np.asarray(fam.vertices, dtype=float)).volume)
+        vol, _ = _polytope_moments(np.asarray(fam.vertices, dtype=float))
         return vol, 1e-15 * vol
     if isinstance(fam, funcmodel.Shifted):
         return integrate_grid(fam.inner, cfg)
@@ -137,13 +131,24 @@ def integrate_grid(spec: funcmodel.FunctionSpec,
 
 def moment_grid(spec: funcmodel.FunctionSpec,
                 cfg: Optional[IntegrationConfig] = None):
-    """(mass, first moment vector, error estimate) of f."""
+    """(mass, first moment vector, error estimate) of f.
+
+    Radial specs and polytope indicators (also shifted) are exact; everything
+    else takes the tensor midpoint rule.
+    """
     cfg = cfg or IntegrationConfig()
     d = spec.dimension
     ri = funcmodel.radial_info(spec)
     if ri is not None:
         mass, err = integrate_grid(spec, cfg)
         return mass, ri.center * mass, err
+    fam = spec.family
+    if isinstance(fam, funcmodel.PolytopeIndicator):
+        mass, mom = _polytope_moments(np.asarray(fam.vertices, dtype=float))
+        return mass, mom, 1e-15 * mass
+    if isinstance(fam, funcmodel.Shifted) and funcmodel.is_indicator(spec):
+        mass, mom, err = moment_grid(fam.inner, cfg)
+        return mass, mom + np.asarray(fam.offset) * mass, err
     lo, hi = funcmodel.support_box(spec)
     n = 2 * cfg.axis_cells(d)
     mass = 0.0
@@ -157,6 +162,22 @@ def moment_grid(spec: funcmodel.FunctionSpec,
     if not math.isfinite(mass):
         raise NumericError("moment integral did not converge")
     return mass, mom, err
+
+
+def _polytope_moments(V: np.ndarray) -> Tuple[float, np.ndarray]:
+    """(volume, first moment) of conv(rows of V), exactly: the sum over the
+    cones from the vertex mean to the hull's boundary simplices, each with
+    volume |det| / d! and its centroid at the mean of its d + 1 vertices."""
+    d = V.shape[1]
+    if d == 1:
+        lo, hi = float(V[:, 0].min()), float(V[:, 0].max())
+        return hi - lo, np.array([0.5 * (hi - lo) * (lo + hi)])
+    from scipy.spatial import ConvexHull
+
+    S = V[ConvexHull(V).simplices]  # (facets, d, d)
+    apex = V.mean(axis=0)  # interior: the points span R^d
+    vols = np.abs(np.linalg.det(S - apex)) / math.factorial(d)
+    return float(vols.sum()), vols @ ((S.sum(axis=1) + apex) / (d + 1))
 
 
 def split_moments(spec: funcmodel.FunctionSpec, normal, offset: float,

@@ -1,7 +1,7 @@
 """Integrals of polars: the kappa constant, the spherical support-function
-formula for Phi(z) = int L_s(shift(f, z)) (in closed form for polytope
-indicators), its gradient, the brute-force grid oracle for the same quantity,
-and the log-concave analogue Phi_inf.
+formula for Phi(z) = int L_s(shift(f, z)) (in closed form for polytope and
+ball indicators), its gradient, the brute-force grid oracle for the same
+quantity, and the log-concave analogue Phi_inf.
 """
 
 from __future__ import annotations
@@ -216,20 +216,45 @@ def _polytope_support(spec: funcmodel.FunctionSpec):
     return None
 
 
-def _polytope_polar(spec: funcmodel.FunctionSpec):
-    """`polar_cells` of the support when spec is the indicator of a
-    polytope, None for any other spec."""
-    P = _polytope_support(spec)
-    return None if P is None else P.polar_cells
+def _indicator_phi(spec: funcmodel.FunctionSpec, s: float,
+                   z) -> Optional[Tuple[float, np.ndarray]]:
+    """Phi(z) and its gradient in closed form when spec is the indicator of a
+    polytope or a ball (also shifted, or under log_approx), None for any
+    other spec.
+
+    For the indicator of a convex body K, int_0^inf t^{s-1} (h + t)^{-(d+s)} dt
+    = B(s, d) h^{-d} turns the spherical formula into
+    Phi(z) = d! Gamma(s+1)/Gamma(d+s+1) vol((K - z)°).
+    """
+    if not funcmodel.is_indicator(spec):
+        return None
+    K = spec.support
+    if isinstance(K, funcmodel._Polytope):
+        return _polytope_phi(K.polar_cells, s, z)
+    return _ball_phi(K, s, z)
+
+
+def _ball_phi(ball, s: float, z) -> Tuple[float, np.ndarray]:
+    """Phi(z) and its gradient for the indicator of B(c, R): with w = z - c,
+    (B - z)° is an ellipsoid of volume kappa_d R (R^2 - |w|^2)^{-(d+1)/2}
+    (kappa_d the volume of the unit ball), and the gradient of Phi is
+    (d + 1) Phi w / (R^2 - |w|^2)."""
+    w = np.asarray(z, dtype=float) - ball.center
+    d = len(w)
+    R = ball.radius
+    r = float(np.linalg.norm(w))
+    if r >= R:
+        raise DomainError("center is not interior to the support")
+    gap = (R - r) * (R + r)
+    log_pref = math.lgamma(d + 1.0) + math.lgamma(s + 1.0) - math.lgamma(d + s + 1.0)
+    value = math.exp(log_pref) * SPHERE_SURFACE[d] / d * R * gap ** (-0.5 * (d + 1))
+    return value, (d + 1) * value / gap * w
 
 
 def _polytope_phi(poly, s: float, z) -> Tuple[float, np.ndarray]:
     """Phi(z) and its gradient for a polytope indicator, in closed form, from
-    its `polar_cells` (A, b, T, |det A_S|).
-
-    For an indicator, int_0^inf t^{s-1} (h + t)^{-(d+s)} dt = B(s, d) h^{-d}
-    turns the spherical formula into Phi(z) = d! Gamma(s+1)/Gamma(d+s+1)
-    vol((P - z)°), and vol = sum over S in T of |det A_S| / (d! prod c_S).
+    its `polar_cells` (A, b, T, |det A_S|): vol((P - z)°) = sum over S in T
+    of |det A_S| / (d! prod c_S), c = b - A z.
     """
     A, b, tri, det = poly
     c = b - A @ np.asarray(z, dtype=float)
@@ -257,15 +282,14 @@ def phi_sphere(spec: funcmodel.FunctionSpec, s: float, z,
                error_estimate: bool = False) -> PolarIntegral:
     """Phi(z) = s/(2(d+s)) * int_{S^d} |u_{d+1}|^{s-1} / h_{K-hat - z}(u)^{d+s} dsigma.
 
-    Polytope indicators take the closed form of `_polytope_phi` (method
-    "exact", error estimate 0).
+    Polytope and ball indicators take the closed form of `_indicator_phi`
+    (method "exact", error estimate 0).
     """
     d = spec.dimension
     quad = _quadrature(d, s, quad)
-    poly = _polytope_polar(spec)
-    if poly is not None:
-        value, _ = _polytope_phi(poly, s, z)
-        return PolarIntegral(value, "exact", err_est=0.0 if error_estimate else None)
+    exact = _indicator_phi(spec, s, z)
+    if exact is not None:
+        return PolarIntegral(exact[0], "exact", err_est=0.0 if error_estimate else None)
     h = _shifted_support(spec, s, z, quad)
     with np.errstate(over="ignore"):
         value = s / (2.0 * (d + s)) * float(np.sum(quad.weights * h ** (-(d + s))))
@@ -286,7 +310,7 @@ def phi_gradient(spec: funcmodel.FunctionSpec, s: float, z,
                  cfg: Optional[IntegrationConfig] = None,
                  with_moment: bool = True) -> PolarIntegral:
     """Gradient of Phi at z from the spherical formula (the closed form for
-    polytope indicators), plus the polar moment
+    polytope and ball indicators), plus the polar moment
     m(z) = int y L_s(shift(f, z))(y) dy from the grid oracle.
 
     The two are parallel with positive proportionality constant d+s+1
@@ -295,9 +319,9 @@ def phi_gradient(spec: funcmodel.FunctionSpec, s: float, z,
     """
     d = spec.dimension
     quad = _quadrature(d, s, quad)
-    poly = _polytope_polar(spec)
-    if poly is not None:
-        value, grad = _polytope_phi(poly, s, z)
+    exact = _indicator_phi(spec, s, z)
+    if exact is not None:
+        value, grad = exact
         method, nodes = "exact", None
     else:
         h = _shifted_support(spec, s, z, quad)

@@ -238,16 +238,16 @@ def region_convergence(spec: funcmodel.FunctionSpec, t: float,
 def sp_region_value(spec: funcmodel.FunctionSpec, s: float, w,
                     cfg: Optional[integration.IntegrationConfig] = None) -> float:
     """int f times the spherical functional of the lifted body shifted by the
-    full (d+1)-vector w.  On the slice w = (z, 0) of a polytope indicator
-    that functional is Phi(z), taken in closed form."""
+    full (d+1)-vector w.  On the slice w = (z, 0) of a polytope or ball
+    indicator that functional is Phi(z), taken in closed form."""
     cfg = cfg or integration.IntegrationConfig()
     d = spec.dimension
     w = np.asarray(w, dtype=float)
     if w.shape != (d + 1,):
         raise InputError("w must be a (d+1)-vector")
-    poly = pint._polytope_polar(spec)
-    if poly is not None and w[d] == 0.0:
-        val, _ = pint._polytope_phi(poly, s, w[:d])
+    exact = pint._indicator_phi(spec, s, w[:d]) if w[d] == 0.0 else None
+    if exact is not None:
+        val = exact[0]
     else:
         quad = pint.default_quadrature(d, s)
         h0 = pint.node_support(spec, s, quad)

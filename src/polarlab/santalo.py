@@ -148,11 +148,11 @@ def santalo_point(spec: funcmodel.FunctionSpec, s,
     return SantaloResult(z, v, diag, it, ok)
 
 
-def hyperplane_point(spec: funcmodel.FunctionSpec, s: float, H: Hyperplane,
-                     cfg: Optional[integration.IntegrationConfig] = None) -> np.ndarray:
-    """The center on H constructed from the line through the two half-space
-    moments b_+ and b_- of f."""
-    cfg = cfg or integration.IntegrationConfig()
+def _split_center(spec: funcmodel.FunctionSpec, H: Hyperplane,
+                  cfg: integration.IntegrationConfig) -> Tuple[float, np.ndarray]:
+    """(lambda, z): the mass share of f on the positive side of H, and the
+    point where the line through the half-space barycentres b_+ / m_+ and
+    b_- / m_- of f meets H."""
     d = spec.dimension
     sm = integration.split_moments(spec, H.a, H.offset, cfg)
     total = sm["m_plus"] + sm["m_minus"]
@@ -162,15 +162,22 @@ def hyperplane_point(spec: funcmodel.FunctionSpec, s: float, H: Hyperplane,
     if lam < 1e-6 or lam > 1 - 1e-6:
         raise InputError("degenerate hyperplane split (lambda near 0 or 1)")
     if d == 1:
-        return np.array([H.offset])
-    b_plus = sm["b_plus"]
-    b_minus = sm["b_minus"]
-    direction = b_plus - b_minus
+        return lam, np.array([H.offset])
+    p_plus = sm["b_plus"] / sm["m_plus"]
+    p_minus = sm["b_minus"] / sm["m_minus"]
+    direction = p_plus - p_minus
     denom = float(H.a @ direction)
     if abs(denom) < 1e-14:
-        raise NumericError("moment line is parallel to the hyperplane")
-    t = (H.offset - float(H.a @ b_minus)) / denom
-    return b_minus + t * direction
+        raise NumericError("barycentre line is parallel to the hyperplane")
+    t = (H.offset - float(H.a @ p_minus)) / denom
+    return lam, p_minus + t * direction
+
+
+def hyperplane_point(spec: funcmodel.FunctionSpec, s: float, H: Hyperplane,
+                     cfg: Optional[integration.IntegrationConfig] = None) -> np.ndarray:
+    """The center on H constructed from the line through the barycentres of
+    f on the two half-spaces of H."""
+    return _split_center(spec, H, cfg or integration.IntegrationConfig())[1]
 
 
 def verify_santalo(spec: funcmodel.FunctionSpec, s: float, H: Hyperplane,
@@ -180,10 +187,7 @@ def verify_santalo(spec: funcmodel.FunctionSpec, s: float, H: Hyperplane,
     int f * Phi(z) <= kappa(d,s)^2 / (4 lambda (1 - lambda))."""
     cfg = cfg or integration.IntegrationConfig()
     d = spec.dimension
-    sm = integration.split_moments(spec, H.a, H.offset, cfg)
-    total = sm["m_plus"] + sm["m_minus"]
-    lam = sm["m_plus"] / total
-    z = hyperplane_point(spec, s, H, cfg)
+    lam, z = _split_center(spec, H, cfg)
     phi = pint.phi_sphere(spec, s, z, quad).value
     mass, _ = pint.integrate_grid(spec, cfg)
     product = mass * phi

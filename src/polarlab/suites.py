@@ -64,6 +64,11 @@ def ball(d: int, s: float, center=None, radius: float = 1.0) -> fm.FunctionSpec:
     return fm.FunctionSpec(d, fm.SConcave(s), fm.BallIndicator(c, radius))
 
 
+def shifted(spec: fm.FunctionSpec, offset) -> fm.FunctionSpec:
+    return fm.FunctionSpec(spec.dimension, spec.concavity_class,
+                           fm.Shifted(spec, tuple(offset)))
+
+
 def gaussian(d: int, center=None, sigma: float = 1.0) -> fm.FunctionSpec:
     c = (0.0,) * d if center is None else tuple(center)
     return fm.FunctionSpec(d, fm.LogConcave(), fm.Gaussian(c, sigma))
@@ -350,7 +355,8 @@ def suite_santalo(seed: int = 0) -> dict:
     for label, spec, s, center in even:
         res = santalo.santalo_point(spec, s)
         derr = float(np.linalg.norm(res.z_star - center))
-        _case(cases, f"santalo_center_{label}", derr <= 1e-6, 1e-6 - derr)
+        _case(cases, f"santalo_center_{label}", res.converged and derr <= 1e-6,
+              1e-6 - derr if res.converged else -1.0)
         _case(cases, f"santalo_barycenter_{label}",
               res.polar_barycenter_norm <= 1e-4,
               1e-4 - res.polar_barycenter_norm)
@@ -364,9 +370,8 @@ def suite_santalo(seed: int = 0) -> dict:
     # shift equivariance
     base = ball(2, 1.0)
     v = np.array([0.3, -0.2])
-    shifted = fm.FunctionSpec(2, fm.SConcave(1.0), fm.Shifted(base, tuple(v)))
     r1 = santalo.santalo_point(base, 1.0, compute_moment=False)
-    r2 = santalo.santalo_point(shifted, 1.0, compute_moment=False)
+    r2 = santalo.santalo_point(shifted(base, v), 1.0, compute_moment=False)
     derr = float(np.linalg.norm(r2.z_star - (r1.z_star + v)))
     _case(cases, "santalo_shift_equivariance", derr <= 1e-6, 1e-6 - derr)
 
@@ -389,12 +394,20 @@ def suite_santalo(seed: int = 0) -> dict:
     _case(cases, "hyperplane_d2_even", float(np.linalg.norm(z2)) <= 1e-9,
           1e-9 - float(np.linalg.norm(z2)))
 
-    # lambda-Santalo inequality across the suite grid
+    # lambda-Santalo inequality across the suite grid; the first offset of
+    # each family is its central hyperplane, where hhat attains equality
+    off_ball, off_hhat, off_box = (0.5, -0.3), (0.4, -0.2), (-0.3, 0.2)
     fam_list = [("hhat_d1", lambda s: hhat(1, s), (0.0, 0.35, -0.35)),
                 ("box_d1", lambda s: cube(1, s), (0.0, 0.5, -0.5)),
                 ("hhat_d2", lambda s: hhat(2, s), (0.0, 0.3, -0.3)),
                 ("ball_d2", lambda s: ball(2, s), (0.0, 0.4, -0.4)),
-                ("fs_gauss_d1", lambda s: fs_gaussian(1, s), (0.0, 0.6, -0.6))]
+                ("fs_gauss_d1", lambda s: fs_gaussian(1, s), (0.0, 0.6, -0.6)),
+                ("shifted_ball_d2", lambda s: shifted(ball(2, s, radius=1.3), off_ball),
+                 (0.5, 0.9, 0.1)),
+                ("shifted_hhat_d2", lambda s: shifted(hhat(2, s), off_hhat),
+                 (0.4, 0.7, 0.1)),
+                ("shifted_box_d2", lambda s: shifted(cube(2, s), off_box),
+                 (-0.3, 0.2, -0.8))]
     for fname, make, offsets in fam_list:
         worst = math.inf
         eq_slack = None
@@ -407,7 +420,7 @@ def suite_santalo(seed: int = 0) -> dict:
                 rep = santalo.verify_santalo(spec, s, santalo.Hyperplane.of(normal, c))
                 rel = rep["slack"] / rep["bound"]
                 worst = min(worst, rel + 1e-6)
-                if fname.startswith("hhat") and c == 0.0:
+                if "hhat" in fname and c == offsets[0]:
                     eq = abs(rep["product"] - rep["bound"]) / rep["bound"]
                     eq_slack = min(eq_slack, 1e-6 - eq) if eq_slack is not None else 1e-6 - eq
         _case(cases, f"lambda_santalo_{fname}", worst >= 0.0, worst)
@@ -467,8 +480,7 @@ def suite_onedim(seed: int = 0) -> dict:
     for i in range(6):
         s = float(rng.choice([1.0, 2.0]))
         c = float(rng.uniform(-0.6, 0.6))
-        spec = fm.FunctionSpec(1, fm.SConcave(s),
-                               fm.Shifted(hhat(1, s), (c,)))
+        spec = shifted(hhat(1, s), (c,))
         sm = integration.split_moments(spec, [1.0], 0.0)
         lam = sm["m_plus"] / (sm["m_plus"] + sm["m_minus"])
         mass, _ = pint.integrate_grid(spec)

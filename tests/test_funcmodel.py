@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from polarlab import funcmodel as fm
+from polarlab import transforms
 from polarlab.errors import InputError, NumericError
 
 
@@ -157,6 +158,23 @@ class TestGeometry:
     def test_barycenter_shifted_ball(self):
         spec = fm.FunctionSpec(1, fm.SConcave(1.0), fm.BallIndicator((0.7,), 0.5))
         assert fm.barycenter(spec).vector[0] == pytest.approx(0.7, abs=1e-9)
+
+    def test_log_approx_of_a_bounded_profile(self):
+        # f_s = (1 + log f / s)_+^s of hhat^e vanishes where (1 - |x|^2)^(e/2)
+        # drops to e^{-s}, inside the support of hhat
+        inner = fm.FunctionSpec(2, fm.LogConcave(), fm.HhatPower(2.0))
+        spec = transforms.s_approx(inner, 3.0)
+        r = math.sqrt(1.0 - math.exp(-3.0))
+        assert spec.support.radius == pytest.approx(r, rel=1e-14)
+        assert fm.evaluate(spec, np.array([0.99, 0.0])) == 0.0
+        assert not fm.conv_support_contains(spec, (0.99, 0.0))
+        lo, hi = fm.support_box(spec)
+        np.testing.assert_allclose(hi, [r, r], rtol=1e-14)
+        np.testing.assert_allclose(lo, [-r, -r], rtol=1e-14)
+
+    def test_log_approx_of_a_ball_keeps_its_radius(self):
+        inner = fm.FunctionSpec(2, fm.LogConcave(), fm.BallIndicator((0.1, 0.2), 1.3))
+        assert transforms.s_approx(inner, 2.0).support.radius == 1.3
 
     @pytest.mark.parametrize("name,d", GEOMETRY_CASES)
     def test_support_geometry(self, name, d):

@@ -85,3 +85,57 @@ class TestSplitMoments:
         b = (sm["m_plus"] * np.asarray(sm["b_plus"])
              + sm["m_minus"] * np.asarray(sm["b_minus"]))
         assert b[0] == pytest.approx(0.0, abs=1e-6)
+
+
+def polytope(V):
+    V = np.asarray(V, dtype=float)
+    return fm.FunctionSpec(V.shape[1], fm.SConcave(1.0),
+                           fm.PolytopeIndicator(tuple(map(tuple, V))))
+
+
+def grid_moments(spec, n):
+    """(mass, first moment) of spec by the midpoint rule, n cells a side."""
+    lo, hi = fm.support_box(spec)
+    mass, mom = 0.0, np.zeros(spec.dimension)
+    for X, cell in integration._midpoint_chunks(lo, hi, n):
+        v = fm.evaluate_batch(spec, X)
+        mass += float(np.sum(v)) * cell
+        mom += (v @ X) * cell
+    return mass, mom
+
+
+class TestPolytopeMoments:
+    @pytest.mark.parametrize("d, n, tol", [(1, 8192, 1e-12), (2, 1024, 2e-5), (3, 192, 2e-4)])
+    def test_against_the_moment_grid(self, d, n, tol):
+        V = np.random.default_rng(d).normal(size=(d + 4, d))
+        off = np.array([0.4, -0.7, 0.25])[:d]
+        plain = polytope(V)
+        moved = fm.FunctionSpec(d, fm.SConcave(1.0), fm.Shifted(plain, tuple(off)))
+        for spec in (plain, moved):
+            mass, mom, err = integration.moment_grid(spec)
+            gmass, gmom = grid_moments(spec, n)
+            assert mass == pytest.approx(gmass, rel=tol)
+            np.testing.assert_allclose(mom / mass, gmom / gmass, rtol=0.0,
+                                       atol=tol * np.abs(V).max())
+            assert err <= 1e-14 * mass
+        m0, mom0, _ = integration.moment_grid(plain)
+        m1, mom1, _ = integration.moment_grid(moved)
+        assert m1 == m0
+        np.testing.assert_allclose(mom1 / m1, mom0 / m0 + off, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_simplex_centroid_and_box_centre(self, d):
+        rng = np.random.default_rng(10 + d)
+        S = rng.uniform(-1.0, 1.0, size=(d + 1, d))
+        vol = abs(np.linalg.det(S[1:] - S[0])) / math.factorial(d)
+        assert fm.barycenter(polytope(S)).vector == pytest.approx(S.mean(axis=0), abs=1e-14)
+        assert integration.moment_grid(polytope(S))[0] == pytest.approx(vol, rel=1e-13)
+        assert integration.integrate_grid(polytope(S))[0] == pytest.approx(vol, rel=1e-13)
+        corners = np.stack(np.meshgrid(*([np.array([-1.0, 1.0])] * d), indexing="ij"),
+                           axis=-1).reshape(-1, d)
+        centre = np.array([0.3, -0.2, 0.7])[:d]
+        half = np.array([1.0, 0.6, 1.4])[:d]
+        box = polytope(centre + corners * half)
+        m, mom, _ = integration.moment_grid(box)
+        assert m == pytest.approx(np.prod(2.0 * half), rel=1e-14)
+        np.testing.assert_allclose(mom / m, centre, rtol=0.0, atol=1e-14)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 from polarlab import funcmodel as fm
 from polarlab import polar_integrals as pint
@@ -293,3 +293,110 @@ class TestQuadratureChecked:
         with pytest.raises(InputError):
             pint.phi_gradient(hhat_spec(2, 2.0), 2.0, np.zeros(2), quad=q,
                               with_moment=False)
+
+
+def ball_spec(d, s, center, radius):
+    return fm.FunctionSpec(d, fm.SConcave(s), fm.BallIndicator(tuple(center), radius))
+
+
+BALL_CENTRE = np.array([0.2, -0.1, 0.15])
+BALL_QUERIES = np.array([[0.0, 0.0, 0.0], [0.5, 0.3, -0.2], [-0.6, 0.4, 0.5]])
+
+
+def ball_polar_volume(c, R, z):
+    """vol((B(c, R) - z)°) = (1/d) int over S^{d-1} of h(u)^{-d} du, with
+    h(u) = R + <c - z, u> the support function of B - z, by adaptive
+    quadrature in polar (d = 2) or spherical (d = 3) coordinates."""
+    w = np.asarray(c, dtype=float) - np.asarray(z, dtype=float)
+    d = len(w)
+    if d == 1:
+        return (1.0 / (R + w[0]) + 1.0 / (R - w[0]))
+    if d == 2:
+        val, _ = integrate.quad(
+            lambda t: (R + w[0] * math.cos(t) + w[1] * math.sin(t)) ** -2,
+            0.0, 2.0 * math.pi, epsabs=0.0, epsrel=1e-13, limit=200)
+        return val / 2.0
+
+    def h(p, t):
+        u = (math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t))
+        return (R + w @ u) ** -3 * math.sin(t)
+
+    val, _ = integrate.dblquad(h, 0.0, math.pi, 0.0, 2.0 * math.pi,
+                               epsabs=0.0, epsrel=1e-12)
+    return val / 3.0
+
+
+class TestBallExact:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 5.0])
+    def test_against_polar_volume(self, d, s):
+        c, R = BALL_CENTRE[:d], 1.3
+        spec = ball_spec(d, s, c, R)
+        pref = math.factorial(d) * special.gamma(s + 1.0) / special.gamma(d + s + 1.0)
+        for z in BALL_QUERIES[:, :d]:
+            res = pint.phi_sphere(spec, s, z)
+            assert res.method == "exact"
+            assert res.value == pytest.approx(pref * ball_polar_volume(c, R, z), rel=1e-10)
+
+    @pytest.mark.parametrize("d, tol", [(1, 1e-10), (2, 1e-10), (3, 5e-5)])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 5.0])
+    def test_sphere_rule_on_the_lifted_support(self, d, tol, s):
+        # the sphere rule over the lifted support of a ball still agrees
+        spec = ball_spec(d, s, BALL_CENTRE[:d], 1.3)
+        quad = pint.default_quadrature(d, s)
+        for z in BALL_QUERIES[:, :d]:
+            h = pint._shifted_support(spec, s, z, quad)
+            rule = s / (2.0 * (d + s)) * float(np.sum(quad.weights * h ** (-(d + s))))
+            assert rule == pytest.approx(pint.phi_sphere(spec, s, z).value, rel=tol)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gradient_matches_central_differences(self, d):
+        spec = ball_spec(d, 2.0, BALL_CENTRE[:d], 1.3)
+        z = BALL_QUERIES[1, :d]
+        res = pint.phi_gradient(spec, 2.0, z, with_moment=False)
+        assert res.method == "exact"
+        assert res.value == pint.phi_sphere(spec, 2.0, z).value
+        h = 1e-6
+        for i, e in enumerate(h * np.eye(d)):
+            fd = (pint.phi_sphere(spec, 2.0, z + e).value
+                  - pint.phi_sphere(spec, 2.0, z - e).value) / (2.0 * h)
+            assert res.gradient[i] == pytest.approx(fd, rel=1e-7)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_boundary_and_outside_raise(self, d):
+        c, R = BALL_CENTRE[:d], 1.3
+        spec = ball_spec(d, 1.0, c, R)
+        u = np.ones(d) / math.sqrt(d)
+        for z in (c + R * u, c + 1.5 * R * u, c - 3.0 * R * u):
+            with pytest.raises(DomainError):
+                pint.phi_sphere(spec, 1.0, z)
+            with pytest.raises(DomainError):
+                pint.phi_gradient(spec, 1.0, z, with_moment=False)
+
+    def test_shifted_and_log_approx_are_exact(self):
+        c, off = BALL_CENTRE[:2], np.array([0.4, -0.3])
+        ball = ball_spec(2, 2.0, c, 1.3)
+        shifted = fm.FunctionSpec(2, fm.SConcave(2.0), fm.Shifted(ball, tuple(off)))
+        log_ball = fm.FunctionSpec(2, fm.LogConcave(), fm.BallIndicator(tuple(c), 1.3))
+        approx = transforms.s_approx(log_ball, 2.0)
+        z = BALL_QUERIES[1, :2]
+        want = pint.phi_sphere(ball, 2.0, z)
+        for spec, at in ((shifted, z + off), (approx, z)):
+            got = pint.phi_sphere(spec, 2.0, at, error_estimate=True)
+            assert got.method == "exact" and got.err_est == 0.0
+            assert got.value == pytest.approx(want.value, rel=1e-14)
+            grad = pint.phi_gradient(spec, 2.0, at, with_moment=False)
+            assert grad.method == "exact"
+
+    def test_only_indicators_are_exact(self):
+        assert pint._indicator_phi(hhat_spec(2, 2.0), 2.0, np.zeros(2)) is None
+        assert pint.phi_sphere(hhat_spec(2, 2.0), 2.0, np.zeros(2)).method == "sphere"
+
+    def test_oracle_reads_no_closed_form(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the oracle must stay independent")
+
+        monkeypatch.setattr(pint, "_indicator_phi", boom)
+        monkeypatch.setattr(pint, "_ball_phi", boom)
+        spec = ball_spec(2, 1.0, BALL_CENTRE[:2], 1.3)
+        assert pint.phi_oracle(spec, 1.0, BALL_QUERIES[1, :2]).value > 0.0

@@ -109,3 +109,20 @@ class TestLiftedRegion:
             got = regions.sp_region_value(spec, 1.0, np.array(z + [0.0]))
             want = base * pint.phi_sphere(spec, 1.0, np.array(z)).value
             assert got == pytest.approx(want, rel=1e-12)
+
+    def test_ball_slice_is_exact(self):
+        # on w = (z, 0) the lifted functional of a ball indicator, shifted or
+        # not, is int f * Phi(z), which phi_sphere takes in closed form
+        ball = fm.FunctionSpec(2, fm.SConcave(1.0), fm.BallIndicator((0.2, -0.1), 1.3))
+        shifted = fm.FunctionSpec(2, fm.SConcave(1.0), fm.Shifted(ball, (0.5, -0.3)))
+        for spec in (ball, shifted):
+            base, _ = pint.integrate_grid(spec)
+            c = spec.support.center
+            for dz in ([0.0, 0.0], [0.8, -0.7], [-0.3, 0.5]):
+                z = c + np.array(dz)
+                got = regions.sp_region_value(spec, 1.0, np.append(z, 0.0))
+                want = base * pint.phi_sphere(spec, 1.0, z).value
+                assert got == pytest.approx(want, rel=1e-12)
+                q = regions.make_query(spec, 1.0, 1.2)
+                assert regions.sp_region_membership(spec, 1.0, 1.2, np.append(z, 0.0)) \
+                    == regions.region_membership(q, z)

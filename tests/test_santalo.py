@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from polarlab import funcmodel as fm
 from polarlab import polar_integrals as pint
-from polarlab import santalo
+from polarlab import integration, santalo, suites
 from polarlab.errors import InputError
 
 
@@ -90,6 +91,89 @@ class TestHyperplaneConstruction:
                                      santalo.Hyperplane.of([1.0], 0.0))
         assert rep["lambda"] == pytest.approx(0.5, abs=1e-9)
         assert rep["product"] == pytest.approx(rep["bound"], rel=1e-7)
+
+
+def shifted(spec, offset):
+    return fm.FunctionSpec(spec.dimension, spec.concavity_class,
+                           fm.Shifted(spec, tuple(offset)))
+
+
+def shifted_ball(s=1.0):
+    ball = fm.FunctionSpec(2, fm.SConcave(s), fm.BallIndicator((0.0, 0.0), 1.3))
+    return shifted(ball, (0.5, -0.3))
+
+
+class TestOffOrigin:
+    def test_centre_on_the_barycentre_line(self):
+        spec = shifted_ball()
+        H = santalo.Hyperplane.of([0.6, 0.8], 0.2)
+        z = santalo.hyperplane_point(spec, 1.0, H)
+        sm = integration.split_moments(spec, H.a, H.offset)
+        p_plus = sm["b_plus"] / sm["m_plus"]
+        p_minus = sm["b_minus"] / sm["m_minus"]
+        assert H.a @ z == pytest.approx(H.offset, abs=1e-12)
+        u, v = p_plus - p_minus, z - p_minus
+        assert abs(u[0] * v[1] - u[1] * v[0]) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(v)
+
+    def test_shift_equivariance(self):
+        ball = fm.FunctionSpec(2, fm.SConcave(1.0), fm.BallIndicator((0.0, 0.0), 1.3))
+        off = np.array([0.5, -0.3])
+        for normal, c in (([1.0, 0.0], 0.4), ([0.6, -0.8], -0.3), ([1.0, 1.0], 0.2)):
+            H = santalo.Hyperplane.of(normal, c)
+            H_moved = santalo.Hyperplane(H.normal, H.offset + float(H.a @ off))
+            z = santalo.hyperplane_point(ball, 1.0, H)
+            z_moved = santalo.hyperplane_point(shifted(ball, off), 1.0, H_moved)
+            np.testing.assert_allclose(z_moved, z + off, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 5.0])
+    def test_bound_holds_off_origin(self, s):
+        spec = shifted_ball(s)
+        rng = np.random.default_rng(int(4 * s))
+        for _ in range(6):
+            a = rng.normal(size=2)
+            a /= np.linalg.norm(a)
+            H = santalo.Hyperplane.of(a, a @ np.array([0.5, -0.3]) + rng.uniform(-0.4, 0.4))
+            assert santalo.verify_santalo(spec, s, H)["pass"]
+
+    def test_shifted_hhat_equality_at_its_centre(self):
+        off = np.array([0.4, -0.2])
+        spec = shifted(hhat_spec(2, 2.0), off)
+        rep = santalo.verify_santalo(spec, 2.0, santalo.Hyperplane.of([1.0, 0.0], off[0]))
+        assert rep["product"] == pytest.approx(rep["bound"], rel=1e-12)
+
+    def test_split_moments_computed_once(self, monkeypatch):
+        spec = shifted_ball()
+        H = santalo.Hyperplane.of([0.6, 0.8], 0.2)
+        calls = []
+        split = integration.split_moments
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return split(*args, **kwargs)
+
+        sm = split(spec, H.a, H.offset)
+        lam_want = sm["m_plus"] / (sm["m_plus"] + sm["m_minus"])
+        z_want = santalo.hyperplane_point(spec, 1.0, H)
+        monkeypatch.setattr(integration, "split_moments", counted)
+        rep = santalo.verify_santalo(spec, 1.0, H)
+        assert len(calls) == 1
+        assert rep["lambda"] == lam_want
+        assert rep["z"] == tuple(z_want)
+
+
+class TestSuiteConverged:
+    def test_unconverged_centre_fails(self, monkeypatch):
+        real = santalo.santalo_point
+
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(santalo, "santalo_point", unconverged)
+        cases = suites.suite_santalo(0)["cases"]
+        centre = [c for c in cases if c["name"].startswith("santalo_center_")]
+        assert len(centre) == 4
+        assert not any(c["pass"] for c in centre)
+        assert all(c["slack"] < 0.0 for c in centre)
 
 
 class TestLevelTransform:
