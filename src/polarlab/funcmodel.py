@@ -43,7 +43,6 @@ __all__ = [
     "barycenter",
     "spec_from_json",
     "spec_to_json",
-    "radial_info",
     "support_box",
     "supp_support_function",
     "axis_extents",
@@ -503,12 +502,6 @@ def _radial(spec: FunctionSpec) -> Optional[RadialInfo]:
             profile = (k, s, r * s ** (1.0 / k))
         return RadialInfo(ri.center, radius, f_rad, profile=profile)
     return None
-
-
-def radial_info(spec: FunctionSpec) -> Optional[RadialInfo]:
-    """Radial description of the spec, or None if the family is not a radial
-    profile around a fixed center."""
-    return spec.radial
 
 
 def is_indicator(spec: FunctionSpec) -> bool:

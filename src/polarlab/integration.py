@@ -110,7 +110,7 @@ def integrate_grid(spec: funcmodel.FunctionSpec,
     """
     cfg = cfg or IntegrationConfig()
     d = spec.dimension
-    ri = funcmodel.radial_info(spec)
+    ri = spec.radial
     if ri is not None:
         if ri.indicator:
             R = ri.radius
@@ -138,7 +138,7 @@ def moment_grid(spec: funcmodel.FunctionSpec,
     """
     cfg = cfg or IntegrationConfig()
     d = spec.dimension
-    ri = funcmodel.radial_info(spec)
+    ri = spec.radial
     if ri is not None:
         mass, err = integrate_grid(spec, cfg)
         return mass, ri.center * mass, err

@@ -76,7 +76,7 @@ class LiftedBody:
             h = funcmodel.supp_support_function(spec, Uh)
             return h - Uh @ z + v
 
-        ri = funcmodel.radial_info(spec)
+        ri = spec.radial
         if ri is not None:
             return self._support_radial(ri, Uh, v, z)
 
@@ -183,7 +183,7 @@ def chords_of_lifting(spec: funcmodel.FunctionSpec, s: float) -> ChordLengthFiel
         return funcmodel.evaluate_batch(spec, X) ** inv_s
 
     lo, hi = funcmodel.support_box(spec)
-    ri = funcmodel.radial_info(spec)
+    ri = spec.radial
     radial = None
     if ri is not None:
         radial = (ri.center, spec.support.radius,

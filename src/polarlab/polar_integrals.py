@@ -1,7 +1,8 @@
 """Integrals of polars: the kappa constant, the spherical support-function
-formula for Phi(z) = int L_s(shift(f, z)) (in closed form for polytope and
-ball indicators), its gradient, the brute-force grid oracle for the same
-quantity, and the log-concave analogue Phi_inf.
+formula for Phi(z) = int L_s(shift(f, z)) and its gradient as one
+functional of the lifted body (in closed form for polytope and ball
+indicators), the brute-force grid oracle for the same quantity, and the
+log-concave analogue Phi_inf.
 """
 
 from __future__ import annotations
@@ -199,39 +200,12 @@ def node_support(spec: funcmodel.FunctionSpec, s: float,
     return h0
 
 
-def _shifted_support(spec, s, z, quad) -> np.ndarray:
-    h0 = node_support(spec, s, quad)
-    z = np.asarray(z, dtype=float)
-    h = h0 - quad.nodes[:, :spec.dimension] @ z
-    if h.min() <= 0.0:
-        raise DomainError("center is not interior to the lifted body")
-    return h
-
-
 def _polytope_support(spec: funcmodel.FunctionSpec):
     """The support of spec when spec is the indicator of a polytope, None for
     any other spec."""
     if funcmodel.is_indicator(spec) and isinstance(spec.support, funcmodel._Polytope):
         return spec.support
     return None
-
-
-def _indicator_phi(spec: funcmodel.FunctionSpec, s: float,
-                   z) -> Optional[Tuple[float, np.ndarray]]:
-    """Phi(z) and its gradient in closed form when spec is the indicator of a
-    polytope or a ball (also shifted, or under log_approx), None for any
-    other spec.
-
-    For the indicator of a convex body K, int_0^inf t^{s-1} (h + t)^{-(d+s)} dt
-    = B(s, d) h^{-d} turns the spherical formula into
-    Phi(z) = d! Gamma(s+1)/Gamma(d+s+1) vol((K - z)°).
-    """
-    if not funcmodel.is_indicator(spec):
-        return None
-    K = spec.support
-    if isinstance(K, funcmodel._Polytope):
-        return _polytope_phi(K.polar_cells, s, z)
-    return _ball_phi(K, s, z)
 
 
 def _ball_phi(ball, s: float, z) -> Tuple[float, np.ndarray]:
@@ -268,70 +242,83 @@ def _polytope_phi(poly, s: float, z) -> Tuple[float, np.ndarray]:
     return float(term.sum()), A.T @ (per_facet / c)
 
 
-def _quadrature(d: int, s: float, quad: Optional[SphereQuadrature]) -> SphereQuadrature:
-    """quad, or the default rule for (d, s); InputError if quad is for
-    another (d, s)."""
+def _sphere_functional(spec: funcmodel.FunctionSpec, s: float, w,
+                       quad: Optional[SphereQuadrature] = None, grad: bool = False):
+    """s/(2(d+s)) * int_{S^d} |u_{d+1}|^{s-1} h_{K-hat - w}(u)^{-(d+s)} dsigma,
+    the spherical functional of the lifted body K-hat = K-hat_s(f) shifted
+    by w, and its gradient in w when grad.
+
+    w is a point z of R^d, read as the slice (z, 0) where the functional is
+    Phi(z), or a shift in R^{d+1}; one whose last coordinate is 0 is the
+    same slice.  On the slice, polytope and ball indicators take their
+    closed form (method "exact"); any other (spec, w) takes the sphere rule
+    quad (default_quadrature(d, s) by default) over `node_support` (method
+    "sphere").  For the indicator of a convex body K,
+    int_0^inf t^{s-1} (h + t)^{-(d+s)} dt = B(s, d) h^{-d} turns the
+    functional into Phi(z) = d! Gamma(s+1)/Gamma(d+s+1) vol((K - z)°).
+
+    Returns (value, gradient or None, method, nodes); DomainError if w is
+    not interior to K-hat.
+    """
+    d = spec.dimension
+    w = np.asarray(w, dtype=float)
+    if len(w) == d + 1 and w[d] == 0.0:
+        w = w[:d]
+    if len(w) == d and funcmodel.is_indicator(spec):
+        K = spec.support
+        if isinstance(K, funcmodel._Polytope):
+            value, gradient = _polytope_phi(K.polar_cells, s, w)
+        else:
+            value, gradient = _ball_phi(K, s, w)
+        return value, gradient if grad else None, "exact", None
     quad = quad or default_quadrature(d, s)
-    if quad.d != d or quad.s != s:
-        raise InputError("quadrature does not match (d, s)")
-    return quad
+    U = quad.nodes[:, :len(w)]
+    h = node_support(spec, s, quad) - U @ w
+    if h.min() <= 0.0:
+        raise DomainError("center is not interior to the lifted body")
+    gradient = None
+    with np.errstate(over="ignore"):
+        value = s / (2.0 * (d + s)) * float(np.sum(quad.weights * h ** (-(d + s))))
+        if grad:
+            gradient = 0.5 * s * (U.T @ (quad.weights * h ** (-(d + s + 1))))
+    return value, gradient, "sphere", len(quad.nodes)
 
 
 def phi_sphere(spec: funcmodel.FunctionSpec, s: float, z,
-               quad: Optional[SphereQuadrature] = None,
                error_estimate: bool = False) -> PolarIntegral:
-    """Phi(z) = s/(2(d+s)) * int_{S^d} |u_{d+1}|^{s-1} / h_{K-hat - z}(u)^{d+s} dsigma.
+    """Phi(z) = s/(2(d+s)) * int_{S^d} |u_{d+1}|^{s-1} / h_{K-hat - z}(u)^{d+s} dsigma
+    (`_sphere_functional`).
 
-    Polytope and ball indicators take the closed form of `_indicator_phi`
-    (method "exact", error estimate 0).
+    With error_estimate, the sphere rule is taken again on the doubled rule:
+    its value is returned, with the difference as the error estimate (0 for
+    a closed form).
     """
-    d = spec.dimension
-    quad = _quadrature(d, s, quad)
-    exact = _indicator_phi(spec, s, z)
-    if exact is not None:
-        return PolarIntegral(exact[0], "exact", err_est=0.0 if error_estimate else None)
-    h = _shifted_support(spec, s, z, quad)
-    with np.errstate(over="ignore"):
-        value = s / (2.0 * (d + s)) * float(np.sum(quad.weights * h ** (-(d + s))))
+    value, _, method, nodes = _sphere_functional(spec, s, z)
     err = None
     if error_estimate:
-        q2 = quad.doubled()
-        h2 = _shifted_support(spec, s, z, q2)
-        v2 = s / (2.0 * (d + s)) * float(np.sum(q2.weights * h2 ** (-(d + s))))
-        err = abs(v2 - value)
-        value = v2
+        err = 0.0
+        if method == "sphere":
+            doubled = default_quadrature(spec.dimension, s).doubled()
+            v2 = _sphere_functional(spec, s, z, doubled)[0]
+            err, value = abs(v2 - value), v2
     if not math.isfinite(value):
         raise NumericError("spherical formula diverged")
-    return PolarIntegral(value, "sphere", err_est=err, nodes=len(quad.nodes))
+    return PolarIntegral(value, method, err_est=err, nodes=nodes)
 
 
 def phi_gradient(spec: funcmodel.FunctionSpec, s: float, z,
-                 quad: Optional[SphereQuadrature] = None,
                  cfg: Optional[IntegrationConfig] = None,
                  with_moment: bool = True) -> PolarIntegral:
-    """Gradient of Phi at z from the spherical formula (the closed form for
-    polytope and ball indicators), plus the polar moment
-    m(z) = int y L_s(shift(f, z))(y) dy from the grid oracle.
+    """Gradient of Phi at z from the spherical formula (`_sphere_functional`),
+    plus the polar moment m(z) = int y L_s(shift(f, z))(y) dy from the grid
+    oracle.
 
     The two are parallel with positive proportionality constant d+s+1
     (fitted against finite differences), and vanish together at the
     minimizer of Phi.
     """
-    d = spec.dimension
-    quad = _quadrature(d, s, quad)
-    exact = _indicator_phi(spec, s, z)
-    if exact is not None:
-        value, grad = exact
-        method, nodes = "exact", None
-    else:
-        h = _shifted_support(spec, s, z, quad)
-        with np.errstate(over="ignore"):
-            value = s / (2.0 * (d + s)) * float(np.sum(quad.weights * h ** (-(d + s))))
-        grad = 0.5 * s * (quad.nodes[:, :d].T @ (quad.weights * h ** (-(d + s + 1))))
-        method, nodes = "sphere", len(quad.nodes)
-    moment = None
-    if with_moment:
-        _, moment = polar_moment(spec, s, z, cfg)
+    value, grad, method, nodes = _sphere_functional(spec, s, z, grad=True)
+    moment = polar_moment(spec, s, z, cfg)[1] if with_moment else None
     return PolarIntegral(value, method, gradient=grad, moment=moment, nodes=nodes)
 
 

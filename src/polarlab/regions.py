@@ -101,13 +101,22 @@ def _ray_directions(d: int, n: int) -> np.ndarray:
     return pint._fibonacci_sphere(n)
 
 
+def _santalo_centre(q: RegionQuery) -> np.ndarray:
+    """The Santalo point the region is described from; NumericError if the
+    minimizer did not converge, as the region would then be built around a
+    point that is not its minimizer."""
+    res = santalo.santalo_point(q.spec, q.s, q.cfg, compute_moment=False)
+    if not res.converged:
+        raise NumericError("Santalo point minimizer did not converge")
+    return res.z_star
+
+
 def region_boundary(q: RegionQuery, ray_count: int = 64,
                     tol: float = 1e-7) -> RegionBoundary:
     """Radial description of the region from its Santalo point: bisection
     along uniformly spread rays to the membership boundary."""
     d = q.spec.dimension
-    res = santalo.santalo_point(q.spec, q.s, q.cfg, compute_moment=False)
-    center = res.z_star
+    center = _santalo_centre(q)
     p_min = _product_at(q, center)
     rays = _ray_directions(d, ray_count)
     if p_min > q.threshold * (1.0 + TIE_TOL):
@@ -144,8 +153,7 @@ def region_properties(q: RegionQuery, samples: int = 200, seed: int = 0) -> dict
     strict-convexity margins of boundary midpoints."""
     rng = np.random.default_rng(seed)
     d = q.spec.dimension
-    res = santalo.santalo_point(q.spec, q.s, q.cfg, compute_moment=False)
-    center = res.z_star
+    center = _santalo_centre(q)
     p_min = _product_at(q, center)
     nonempty = p_min <= q.threshold * (1.0 + TIE_TOL)
     report = {
@@ -238,23 +246,14 @@ def region_convergence(spec: funcmodel.FunctionSpec, t: float,
 def sp_region_value(spec: funcmodel.FunctionSpec, s: float, w,
                     cfg: Optional[integration.IntegrationConfig] = None) -> float:
     """int f times the spherical functional of the lifted body shifted by the
-    full (d+1)-vector w.  On the slice w = (z, 0) of a polytope or ball
-    indicator that functional is Phi(z), taken in closed form."""
+    full (d+1)-vector w (`polar_integrals._sphere_functional`).  On the slice
+    w = (z, 0) that functional is Phi(z)."""
     cfg = cfg or integration.IntegrationConfig()
     d = spec.dimension
     w = np.asarray(w, dtype=float)
     if w.shape != (d + 1,):
         raise InputError("w must be a (d+1)-vector")
-    exact = pint._indicator_phi(spec, s, w[:d]) if w[d] == 0.0 else None
-    if exact is not None:
-        val = exact[0]
-    else:
-        quad = pint.default_quadrature(d, s)
-        h0 = pint.node_support(spec, s, quad)
-        h = h0 - quad.nodes @ w
-        if h.min() <= 0:
-            raise DomainError("w is not interior to the lifted body")
-        val = s / (2.0 * (d + s)) * float(np.sum(quad.weights * h ** (-(d + s))))
+    val = pint._sphere_functional(spec, s, w)[0]
     base, _ = pint.integrate_grid(spec, cfg)
     return base * val
 

@@ -65,30 +65,37 @@ class SantaloResult:
     converged: bool
 
 
-def _minimize_convex(value_grad, z0, feasible, max_iter=500, gtol_rel=1e-9):
+_MAX_ITER = 500     # minimizer iterations
+_GTOL_REL = 1e-9    # stop when |grad Phi| <= _GTOL_REL * Phi
+_SANTALO_TOL = 1e-6  # relative slack of the lambda-Santalo bound
+
+
+def _minimize_convex(value_grad, z0):
     """Gradient descent with Armijo backtracking, Barzilai-Borwein step
-    initialization, and an interior guard (step halving on infeasibility)."""
+    initialization, and an interior guard: a trial step where value_grad
+    raises DomainError is halved."""
     z = np.array(z0, dtype=float)
     v, g = value_grad(z)
     step = 1.0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         gn = float(np.linalg.norm(g))
-        if gn <= gtol_rel * max(abs(v), 1e-300):
+        if gn <= _GTOL_REL * max(abs(v), 1e-300):
             return z, v, g, it, True
         t = step
         accepted = False
         for _ in range(80):
             zt = z - t * g
-            if not feasible(zt):
-                t *= 0.5
-                continue
             try:
                 vt, gt = value_grad(zt)
             except DomainError:
                 t *= 0.5
                 continue
-            if vt <= v - 1e-4 * t * gn * gn:
+            target = v - 1e-4 * t * gn * gn
+            # a decrease below the resolution of v cannot be seen in vt;
+            # there a trial point short of the minimum along -g (Phi is
+            # convex) is taken on the sign of its directional derivative
+            if vt <= target or (target == v and float(gt @ g) > 0.0):
                 accepted = True
                 break
             t *= 0.5
@@ -100,14 +107,14 @@ def _minimize_convex(value_grad, z0, feasible, max_iter=500, gtol_rel=1e-9):
         denom = float(dz @ dg)
         step = float(dz @ dz) / denom if denom > 0 else t * 2.0
         step = min(max(step, 1e-12), 1e6)
-    return z, v, g, max_iter, False
+    return z, v, g, _MAX_ITER, False
 
 
 def santalo_point(spec: funcmodel.FunctionSpec, s,
                   cfg: Optional[integration.IntegrationConfig] = None,
-                  quad=None, max_iter: int = 500, gtol_rel: float = 1e-9,
                   compute_moment: bool = True) -> SantaloResult:
-    """Minimizer of z -> int L_s(shift(f, z)) (s may be math.inf)."""
+    """Minimizer of z -> int L_s(shift(f, z)) (s may be math.inf), started at
+    the barycentre of f."""
     cfg = cfg or integration.IntegrationConfig()
     d = spec.dimension
     z0 = funcmodel.barycenter(spec, cfg).vector
@@ -121,25 +128,15 @@ def santalo_point(spec: funcmodel.FunctionSpec, s,
             grad = pint.phi_log_gradient(spec, z, cfg)
             return val, grad
 
-        z, v, g, it, ok = _minimize_convex(vg, z0, lambda z: True,
-                                           max_iter, gtol_rel)
+        z, v, g, it, ok = _minimize_convex(vg, z0)
         diag = float(np.linalg.norm(g)) / v
         return SantaloResult(z, v, diag, it, ok)
 
-    quad = quad or pint.default_quadrature(d, s)
-    h0 = pint.node_support(spec, s, quad)
-    U = quad.nodes[:, :d]
-
-    def feasible(z):
-        return float(np.min(h0 - U @ z)) > 0.0
-
     def vg(z):
-        res = pint.phi_gradient(spec, s, z, quad, with_moment=False)
+        res = pint.phi_gradient(spec, s, z, with_moment=False)
         return res.value, res.gradient
 
-    if not feasible(z0):
-        z0 = np.zeros(d) if feasible(np.zeros(d)) else z0 * 0.5
-    z, v, g, it, ok = _minimize_convex(vg, z0, feasible, max_iter, gtol_rel)
+    z, v, g, it, ok = _minimize_convex(vg, z0)
     if compute_moment:
         mass, mom = pint.polar_moment(spec, s, z, cfg)
         diag = float(np.linalg.norm(mom)) / mass
@@ -181,14 +178,13 @@ def hyperplane_point(spec: funcmodel.FunctionSpec, s: float, H: Hyperplane,
 
 
 def verify_santalo(spec: funcmodel.FunctionSpec, s: float, H: Hyperplane,
-                   cfg: Optional[integration.IntegrationConfig] = None,
-                   quad=None, tol: float = 1e-6) -> dict:
+                   cfg: Optional[integration.IntegrationConfig] = None) -> dict:
     """lambda-split Santalo inequality at the constructed center:
     int f * Phi(z) <= kappa(d,s)^2 / (4 lambda (1 - lambda))."""
     cfg = cfg or integration.IntegrationConfig()
     d = spec.dimension
     lam, z = _split_center(spec, H, cfg)
-    phi = pint.phi_sphere(spec, s, z, quad).value
+    phi = pint.phi_sphere(spec, s, z).value
     mass, _ = pint.integrate_grid(spec, cfg)
     product = mass * phi
     bound = pint.kappa(d, s) ** 2 / (4.0 * lam * (1.0 - lam))
@@ -200,7 +196,7 @@ def verify_santalo(spec: funcmodel.FunctionSpec, s: float, H: Hyperplane,
         "product": product,
         "bound": bound,
         "slack": bound - product,
-        "pass": product <= bound * (1.0 + tol),
+        "pass": product <= bound * (1.0 + _SANTALO_TOL),
     }
 
 

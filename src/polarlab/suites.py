@@ -273,17 +273,11 @@ def suite_alexandrov(seed: int = 0) -> dict:
                   ("fs_gauss_d2", fs_gaussian(2, 2.0), 2.0)]
     for label, spec, s in prop_specs:
         d = spec.dimension
-        quad = pint.default_quadrature(d, s)
-        h0 = pint.node_support(spec, s, quad)
-        U = quad.nodes[:, :d]
-        w = quad.weights
-        pref = s / (2.0 * (d + s))
         z0 = fm.barycenter(spec).vector
         rm, rp = fm.axis_extents(spec, z0)
 
         def phi_at(Z):
-            H = h0[None, :] - Z @ U.T
-            return pref * np.sum(w[None, :] * H ** (-(d + s)), axis=1)
+            return np.array([pint.phi_sphere(spec, s, z).value for z in Z])
 
         n = 1000
         ua = rng.uniform(-0.45, 0.45, size=(n, d))

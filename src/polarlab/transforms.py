@@ -87,7 +87,7 @@ def s_polar_batch(spec: funcmodel.FunctionSpec, s: float, Y: np.ndarray,
         h = funcmodel.supp_support_function(spec, Y)
         return np.maximum(0.0, c0 - h) ** s
 
-    ri = funcmodel.radial_info(spec)
+    ri = spec.radial
     if ri is not None and (ri.profile is not None or not np.isfinite(ri.radius)):
         return _s_polar_radial(ri, s, Y, c0)
 

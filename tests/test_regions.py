@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from polarlab import cli, santalo, transforms
 from polarlab import funcmodel as fm
 from polarlab import polar_integrals as pint
 from polarlab import regions
-from polarlab.errors import InputError
+from polarlab.errors import InputError, NumericError
 
 
 def hhat_spec(d, s):
@@ -62,6 +65,31 @@ class TestBoundary:
         b = regions.region_boundary(q, ray_count=2)
         np.testing.assert_allclose(b.radii, math.sqrt(2.0 * math.log(2.0)),
                                    atol=1e-4)
+
+
+class TestUnconvergedCentre:
+    @pytest.fixture
+    def unconverged(self, monkeypatch):
+        real = santalo.santalo_point
+
+        def fake(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(santalo, "santalo_point", fake)
+
+    def test_boundary_and_properties_raise(self, unconverged):
+        q = regions.make_query(interval_spec(), 1.0, 2.0)
+        with pytest.raises(NumericError):
+            regions.region_boundary(q, ray_count=2)
+        with pytest.raises(NumericError):
+            regions.region_properties(q, samples=10)
+
+    def test_cli_exit_code(self, unconverged, tmp_path):
+        path = tmp_path / "interval.json"
+        path.write_text(fm.spec_to_json(interval_spec()))
+        r = CliRunner().invoke(cli.main, ["region", "--spec", str(path), "--s", "1",
+                                          "--t", "2"])
+        assert r.exit_code == 1
 
 
 class TestProperties:
@@ -126,3 +154,38 @@ class TestLiftedRegion:
                 q = regions.make_query(spec, 1.0, 1.2)
                 assert regions.sp_region_membership(spec, 1.0, 1.2, np.append(z, 0.0)) \
                     == regions.region_membership(q, z)
+
+    @pytest.mark.parametrize("name", ["hhat_d2", "s_approx_gaussian_d2", "grid_9x9"])
+    def test_non_indicator_slice_is_phi_sphere(self, name):
+        # off the indicators the slice w = (z, 0) takes the sphere rule,
+        # and reads the same Phi(z) as phi_sphere
+        x = np.linspace(-1.0, 1.0, 9)
+        grid = np.maximum(0.0, 1.0 - x[:, None] ** 2 - x[None, :] ** 2)
+        gauss = fm.FunctionSpec(2, fm.LogConcave(), fm.Gaussian((0.1, -0.2), 0.8))
+        spec = {"hhat_d2": hhat_spec(2, 2.0),
+                "s_approx_gaussian_d2": transforms.s_approx(gauss, 2.0),
+                "grid_9x9": fm.FunctionSpec(2, fm.SConcave(2.0),
+                                            fm.GridProfile((-1.0, -1.0), 0.25, grid))}[name]
+        base, _ = pint.integrate_grid(spec)
+        for z in ([0.0, 0.0], [0.3, -0.2], [-0.25, 0.4]):
+            got = regions.sp_region_value(spec, 2.0, np.array(z + [0.0]))
+            res = pint.phi_sphere(spec, 2.0, np.array(z))
+            assert res.method == "sphere"
+            assert got == pytest.approx(base * res.value, rel=1e-12)
+
+    def test_polytope_off_slice_takes_the_sphere_rule(self):
+        # off the slice there is no closed form: the functional is the
+        # sphere rule over the lifted support shifted by the full w
+        spec = fm.FunctionSpec(2, fm.SConcave(1.0), fm.PolytopeIndicator(
+            ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))))
+        d, s = 2, 1.0
+        base, _ = pint.integrate_grid(spec)
+        quad = pint.default_quadrature(d, s)
+        for z in ([0.0, 0.0], [0.4, -0.3]):
+            w = np.array(z + [0.05])
+            h = pint.node_support(spec, s, quad) - quad.nodes @ w
+            want = s / (2.0 * (d + s)) * float(np.sum(quad.weights * h ** (-(d + s))))
+            got = regions.sp_region_value(spec, s, w)
+            assert got == pytest.approx(base * want, rel=1e-12)
+            assert got != pytest.approx(
+                base * pint.phi_sphere(spec, s, np.array(z)).value, rel=1e-6)

@@ -6,7 +6,7 @@ import pytest
 
 from polarlab import funcmodel as fm
 from polarlab import polar_integrals as pint
-from polarlab import integration, santalo, suites
+from polarlab import integration, lifting, santalo, suites
 from polarlab.errors import InputError
 
 
@@ -174,6 +174,45 @@ class TestSuiteConverged:
         assert len(centre) == 4
         assert not any(c["pass"] for c in centre)
         assert all(c["slack"] < 0.0 for c in centre)
+
+
+class TestIndicatorsBuildNoLiftedSupport:
+    # Phi and its gradient are closed form for polytope and ball indicators,
+    # so their Santalo point needs no support of the lifted body
+    BOX = fm.FunctionSpec(3, fm.SConcave(1.0), fm.PolytopeIndicator(tuple(
+        (a, b, c) for a in (-0.7, 1.3) for b in (-0.6, 1.0) for c in (-0.9, 1.1))))
+    BALL = fm.FunctionSpec(2, fm.SConcave(1.0), fm.Shifted(
+        fm.FunctionSpec(2, fm.SConcave(1.0), fm.BallIndicator((0.1, -0.2), 0.9)), (0.3, 0.4)))
+    TRIANGLE = fm.FunctionSpec(2, fm.SConcave(1.0), fm.PolytopeIndicator(
+        ((-0.8, -0.5), (1.2, -0.3), (0.1, 0.9))))
+
+    @pytest.mark.parametrize("spec, want", [
+        (BOX, (0.3, 0.2, 0.1)),
+        (BALL, (0.4, 0.2)),
+        (TRIANGLE, (0.5 / 3.0, 0.1 / 3.0)),  # a simplex's Santalo point is its centroid
+    ], ids=["box_d3", "shifted_ball_d2", "triangle_d2"])
+    def test_santalo_point(self, monkeypatch, spec, want):
+        def boom(*args, **kwargs):
+            raise AssertionError("an indicator needs no lifted support")
+
+        monkeypatch.setattr(lifting.LiftedBody, "support_batch", boom)
+        res = santalo.santalo_point(spec, 1.0, compute_moment=False)
+        assert res.converged
+        np.testing.assert_allclose(res.z_star, want, rtol=0.0, atol=1e-7)
+
+
+class TestMinimizerResolution:
+    def test_converges_where_the_decrease_is_below_the_value_resolution(self):
+        # near its minimizer Phi of this polytope falls by less than one ulp
+        # per step while |grad Phi| / Phi is still above the 1e-9 stop, so a
+        # line search on the value alone stalls for all 500 iterations
+        V = ((0.0, 0.0, 0.0), (1.2, 0.1, 0.0), (0.2, 1.1, 0.1), (0.1, 0.3, 1.0),
+             (0.9, 0.8, 0.7))
+        spec = fm.FunctionSpec(3, fm.SConcave(1.0), fm.PolytopeIndicator(V))
+        res = santalo.santalo_point(spec, 1.0, compute_moment=False)
+        assert res.converged and res.iterations < 100
+        g = pint.phi_gradient(spec, 1.0, res.z_star, with_moment=False)
+        assert np.linalg.norm(g.gradient) <= 1e-9 * g.value
 
 
 class TestLevelTransform:
