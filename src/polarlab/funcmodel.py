@@ -48,9 +48,9 @@ __all__ = [
     "axis_extents",
     "conv_support_contains",
     "support_samples",
-    "grid_support_nodes",
     "sup_value",
     "is_indicator",
+    "kernel_geometry",
 ]
 
 EPS_TAIL = 1e-12  # tail cutoff for truncating unbounded supports
@@ -546,20 +546,23 @@ class _Ball:
 
 @dataclass(frozen=True)
 class _Polytope:
-    """conv(points) = {x : A x <= b}, inside the axis box [lo, hi]."""
+    """conv(points) = {x : A x <= b}, inside the axis box [lo, hi]; for a
+    grid-based spec, values holds f at the points (`kernel_geometry`)."""
 
     points: np.ndarray
     A: np.ndarray
     b: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    values: Optional[np.ndarray] = None
 
     @classmethod
-    def hull(cls, points: np.ndarray, lo, hi) -> "_Polytope":
-        return cls(points, *_polytope_inequalities(points), lo, hi)
+    def hull(cls, points: np.ndarray, lo, hi, values=None) -> "_Polytope":
+        return cls(points, *_polytope_inequalities(points), lo, hi, values)
 
     def translated(self, offset: np.ndarray) -> "_Polytope":
-        return _Polytope.hull(self.points + offset, self.lo + offset, self.hi + offset)
+        return _Polytope.hull(self.points + offset, self.lo + offset, self.hi + offset,
+                              self.values)
 
     def support_function(self, Y: np.ndarray) -> np.ndarray:
         return (Y @ self.points.T).max(axis=1)
@@ -616,36 +619,93 @@ def _support(spec: FunctionSpec) -> Union[_Ball, _Polytope]:
         return _grid_support(spec)
     if isinstance(fam, Shifted):
         return fam.inner.support.translated(np.asarray(fam.offset))
-    raise InputError(f"no support geometry for family {fam.kind}")
+    if is_indicator(fam.inner):
+        return fam.inner.support  # log 1 = 0: f_s = f
+    return _log_approx_support(fam.inner, fam.s)
 
 
-def grid_support_nodes(spec: FunctionSpec) -> np.ndarray:
-    """Mask of the nodes of a GridProfile spec whose convex hull is conv supp f.
+def kernel_geometry(spec: FunctionSpec, s: float) -> Union[RadialInfo, _Polytope]:
+    """What the exact s-polar and lifted-support kernels read for a spec that
+    is not an indicator, at finite s: spec.radial, or else spec.support,
+    whose points carry f (a grid-based spec).
+
+    An unbounded support raises InputError: there the s-polar is 0 off
+    y = 0, while the lifted body is cut where f drops to EPS_TAIL.  So does
+    a grid-based spec at s above the s' for which f^(1/s') is affine, or its
+    positive part, on each piece (the class s of a grid or of log_approx; a
+    log-concave grid, whose log f is affine, takes any s): only for s <= s'
+    is f^(1/s) convex and (c - <x,y>)^s / f quasi-concave on a piece, so
+    that both extrema sit at its vertices.
+    """
+    ri = spec.radial
+    if ri is not None:
+        if not np.isfinite(ri.radius):
+            raise InputError("finite s requires a bounded support")
+        return ri
+    piece = spec
+    while isinstance(piece.family, Shifted):
+        piece = piece.family.inner
+    if piece.class_s is not None and s > piece.class_s:
+        raise InputError(f"a grid-based spec of class s = {piece.class_s} "
+                         f"has no exact kernel at s = {s}")
+    return spec.support
+
+
+def _grid_support(spec: FunctionSpec) -> _Polytope:
+    """Hull of the support nodes, inside the box of the positive nodes padded
+    by one cell where the grid allows.
 
     Log-concave: the positive nodes.  s-concave: f^(1/s) is linear on each
     Kuhn simplex, so f > 0 also reaches towards the zero nodes p + delta,
     delta in {0,1}^d or {0,-1}^d, that share a simplex with a positive node p.
     """
-    pos = np.asarray(spec.family.values) > 0
-    if spec.is_log_concave:
-        return pos
-    from scipy import ndimage
-
-    delta = np.indices((3,) * spec.dimension) - 1
-    star = np.all(delta >= 0, axis=0) | np.all(delta <= 0, axis=0)
-    return ndimage.binary_dilation(pos, structure=star)
-
-
-def _grid_support(spec: FunctionSpec) -> _Polytope:
-    """Hull of the support nodes, inside the box of the positive nodes padded
-    by one cell where the grid allows."""
     fam = spec.family
     org = np.asarray(fam.origin)
-    pos = np.argwhere(np.asarray(fam.values) > 0)
+    vals = np.asarray(fam.values, dtype=float)
+    near = vals > 0
+    pos = np.argwhere(near)
+    if not spec.is_log_concave:
+        from scipy import ndimage
+
+        delta = np.indices((3,) * spec.dimension) - 1
+        star = np.all(delta >= 0, axis=0) | np.all(delta <= 0, axis=0)
+        near = ndimage.binary_dilation(near, structure=star)
     return _Polytope.hull(
-        org + np.argwhere(grid_support_nodes(spec)) * fam.spacing,
+        org + np.argwhere(near) * fam.spacing,
         org + (pos.min(axis=0) - 1).clip(0) * fam.spacing,
-        org + (pos.max(axis=0) + 1).clip(max=np.asarray(fam.values.shape) - 1) * fam.spacing)
+        org + (pos.max(axis=0) + 1).clip(max=np.asarray(vals.shape) - 1) * fam.spacing,
+        vals[near])
+
+
+def _log_approx_support(inner: FunctionSpec, s: float) -> _Polytope:
+    """conv supp f_s for f_s = (1 + log f / s)_+^s of a log-concave grid f,
+    shifted or not.
+
+    f_s^(1/s) is the positive part of an affine function on each Kuhn
+    simplex, so supp f_s is the hull of the nodes where it is positive and
+    of the points where it is 0 on the Kuhn edges, the node pairs that
+    differ by a nonzero delta in {0,1}^d.
+    """
+    offset = 0.0
+    while isinstance(inner.family, Shifted):
+        offset = offset + np.asarray(inner.family.offset)
+        inner = inner.family.inner
+    fam = inner.family
+    with np.errstate(divide="ignore"):
+        p = 1.0 + np.log(np.asarray(fam.values, dtype=float)) / s
+    if not (p > 0).any():
+        raise InputError("log_approx support is empty (log f <= -s everywhere)")
+    idx, values = [np.argwhere(p > 0)], [p[p > 0] ** s]
+    for delta in np.argwhere(np.ones((2,) * inner.dimension))[1:]:
+        a = np.argwhere(np.ones(np.asarray(p.shape) - delta))
+        pa, pb = p[tuple(a.T)], p[tuple((a + delta).T)]
+        cross = np.isfinite(pa) & np.isfinite(pb) & ((pa > 0) != (pb > 0))
+        t = pa[cross] / (pa[cross] - pb[cross])
+        idx.append(a[cross] + t[:, None] * delta)
+        values.append(np.zeros(len(t)))
+    box = inner.support
+    return _Polytope.hull(np.asarray(fam.origin) + np.concatenate(idx) * fam.spacing + offset,
+                          box.lo + offset, box.hi + offset, np.concatenate(values))
 
 
 def support_box(spec: FunctionSpec):

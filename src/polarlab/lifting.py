@@ -76,18 +76,10 @@ class LiftedBody:
             h = funcmodel.supp_support_function(spec, Uh)
             return h - Uh @ z + v
 
-        ri = spec.radial
-        if ri is not None:
-            return self._support_radial(ri, Uh, v, z)
-
-        fam = spec.family
-        if isinstance(fam, funcmodel.Shifted):
-            # x - z = x' - (z - offset) for x' = x - offset in supp inner
-            inner = LiftedBody(fam.inner, self.s, tuple(z - np.asarray(fam.offset)))
-            return inner.support_batch(U)
-        if isinstance(fam, funcmodel.GridProfile) and not spec.is_log_concave:
-            return self._support_grid(Uh, v, z)
-        raise InputError("unsupported family for lifted support")
+        geo = funcmodel.kernel_geometry(spec, self.s)
+        if isinstance(geo, funcmodel.RadialInfo):
+            return self._support_radial(geo, Uh, v, z)
+        return self._support_vertices(geo, Uh, v, z)
 
     def _support_radial(self, ri, Uh, v, z):
         """<centre - z, u'> + max over rho in [0, R] of a rho + v p(rho),
@@ -103,7 +95,7 @@ class LiftedBody:
         where p is convex); both endpoints compete.
         """
         a = np.linalg.norm(Uh, axis=1)
-        R = self.base.support.radius
+        R = ri.radius
         inv_s = 1.0 / self.s
         rho = np.linspace(0.0, R, _RADIAL_SAMPLES)
         p = ri.f_rad(rho) ** inv_s
@@ -136,11 +128,11 @@ class LiftedBody:
         np.maximum.at(best, rows, top)
         return Uh @ (ri.center - z) + best
 
-    def _support_grid(self, Uh, v, z):
-        fam = self.base.family
-        near = funcmodel.grid_support_nodes(self.base)
-        X = np.asarray(fam.origin) + np.argwhere(near) * fam.spacing
-        p = np.asarray(fam.values, dtype=float)[near] ** (1.0 / self.s)
+    def _support_vertices(self, P, Uh, v, z):
+        """max over the support points of a grid-based spec
+        (`funcmodel.kernel_geometry`) of <x - z, u'> + v f(x)^{1/s}."""
+        X = P.points
+        p = P.values ** (1.0 / self.s)
         out = np.empty(len(Uh))
         chunk = max(1, (1 << 22) // max(len(X), 1))
         for i in range(0, len(Uh), chunk):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -145,6 +146,7 @@ class SphereQuadrature:
         """Closed-form int_{S^d} |u_{d+1}|^{s-1} dsigma for the sanity check."""
         return SPHERE_SURFACE[self.d] * special.beta(0.5 * self.s, 0.5 * self.d)
 
+    @cached_property
     def doubled(self) -> "SphereQuadrature":
         return SphereQuadrature.build(self.d, self.s,
                                       2 * self.n_vertical, 2 * self.n_horizontal)
@@ -298,7 +300,7 @@ def phi_sphere(spec: funcmodel.FunctionSpec, s: float, z,
     if error_estimate:
         err = 0.0
         if method == "sphere":
-            doubled = default_quadrature(spec.dimension, s).doubled()
+            doubled = default_quadrature(spec.dimension, s).doubled
             v2 = _sphere_functional(spec, s, z, doubled)[0]
             err, value = abs(v2 - value), v2
     if not math.isfinite(value):
@@ -342,8 +344,7 @@ def phi_oracle(spec: funcmodel.FunctionSpec, s: float, z,
     P = _polytope_support(spec)
     if P is not None:
         return _polytope_oracle(P.points - z, s, lo[:-1], hi[:-1], n)
-    ev = transforms.SPolarEvaluator(spec, s, tuple(z))
-    value, err = richardson_box(ev, lo, hi, n)
+    value, err = richardson_box(lambda Y: transforms.s_polar_batch(spec, s, Y, z), lo, hi, n)
     return PolarIntegral(value, "oracle", err_est=err, nodes=(2 * n) ** d)
 
 
@@ -422,11 +423,10 @@ def polar_moment(spec: funcmodel.FunctionSpec, s: float, z,
     z = np.asarray(z, dtype=float)
     lo, hi = _polar_box(spec, z)
     n = cfg.resolution if cfg.resolution is not None else _ORACLE_RES[d]
-    ev = transforms.SPolarEvaluator(spec, s, tuple(z))
     mass = 0.0
     mom = np.zeros(d)
     for Y, cell in _midpoint_chunks(lo, hi, 2 * n):
-        v = ev(Y)
+        v = transforms.s_polar_batch(spec, s, Y, z)
         mass += float(np.sum(v)) * cell
         mom += (v @ Y) * cell
     return mass, mom

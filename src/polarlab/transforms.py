@@ -23,7 +23,6 @@ from .errors import InputError, NumericError
 __all__ = [
     "s_polar",
     "s_polar_batch",
-    "SPolarEvaluator",
     "LegendreEvaluator",
     "LegendreValue",
     "legendre",
@@ -87,28 +86,20 @@ def s_polar_batch(spec: funcmodel.FunctionSpec, s: float, Y: np.ndarray,
         h = funcmodel.supp_support_function(spec, Y)
         return np.maximum(0.0, c0 - h) ** s
 
-    ri = spec.radial
-    if ri is not None and (ri.profile is not None or not np.isfinite(ri.radius)):
-        return _s_polar_radial(ri, s, Y, c0)
-
-    fam = spec.family
-    if isinstance(fam, funcmodel.Shifted):
-        # shift(f, z) = shift(inner, z - offset)
-        return s_polar_batch(fam.inner, s, Y, z - np.asarray(fam.offset))
-    if isinstance(fam, funcmodel.GridProfile) and not spec.is_log_concave:
-        return _s_polar_grid(spec, s, Y, c0)
-
-    return _s_polar_generic(spec, s, Y, c0)
+    geo = funcmodel.kernel_geometry(spec, s)
+    if isinstance(geo, funcmodel.RadialInfo):
+        return _s_polar_radial(geo, s, Y, c0)
+    return _s_polar_vertices(geo, s, Y, c0)
 
 
 def _s_polar_radial(ri: funcmodel.RadialInfo, s, Y, c0):
-    """min over rho in [0, R) of (A - rho q)^s / f_rad(rho) per row, in
-    closed form.
+    """min over rho in [0, R) of (A - rho q)^s / f_rad(rho) per row, R the
+    support radius.
 
-    A bounded support comes with the profile f_rad = (1 - (rho/r)^k)^m
-    (hhat^e: k = 2, m = e/2, r = 1; log_approx of a Gaussian: k = 2,
-    m = s', r = sigma sqrt(2 s'); of exp_neg_norm: k = 1, m = s',
-    r = s'/a; R is r up to rounding).  The log of the ratio,
+    Where f_rad has a closed form (1 - (rho/r)^k)^m (hhat^e: k = 2,
+    m = e/2, r = 1; log_approx of a Gaussian: k = 2, m = s',
+    r = sigma sqrt(2 s'); of exp_neg_norm: k = 1, m = s', r = s'/a; R is r
+    up to rounding), the log of the ratio,
     s log(A - rho q) - m log(1 - (rho/r)^k), tends to +inf as rho -> r and
     has at most one stationary point on [0, r), its minimum:
     - k = 2: the one root in (0, r) of (s - 2m) q rho^2 + 2m A rho - s q r^2,
@@ -116,86 +107,51 @@ def _s_polar_radial(ri: funcmodel.RadialInfo, s, Y, c0):
     - k = 1: rho = (s q r - m A) / (q (s - m)), the zero of an affine
       function; it lies past r when s < m and is non-finite when s = m, and
       then the ratio increases.
-    Clipped to [0, R], it competes with rho = 0.
+    Clipped to [0, R], it competes with rho = 0.  Any other profile
+    (log_approx of a log-concave hhat^e) takes a golden-section search of
+    the log of the ratio over [0, R], which also competes with rho = 0.
     """
     q = np.linalg.norm(Y, axis=1)
     A = c0 - Y @ ri.center
-    if not np.isfinite(ri.radius):
-        # full support: the numerator vanishes inside supp f for any y != 0
-        out = np.zeros(len(Y))
-        at0 = q == 0
-        sup = float(np.max(ri.f_rad(np.array([0.0]))))  # profiles peak at center
-        out[at0] = np.maximum(0.0, c0[at0]) ** s / sup
-        return out
     R = ri.radius
-    k, m, r = ri.profile
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if k == 2:
-            b = 2.0 * m * A
-            disc = np.maximum(0.0, b * b + 4.0 * (s - 2.0 * m) * s * (q * r) ** 2)
-            rho = 2.0 * s * q * r * r / (b + np.sqrt(disc))
+        if ri.profile is None:
+            v = np.exp(_golden_min(
+                lambda rho: s * np.log(A[:, None] - rho * q[:, None]) - np.log(ri.f_rad(rho)),
+                np.zeros(len(Y)), R))
         else:
-            rho = (s * q * r - m * A) / (q * (s - m))
-        rho = np.clip(rho, 0.0, R)
-        v = np.exp(s * np.log(A - rho * q) - m * np.log1p(-(rho / r) ** k))
-        # fmin drops a nan (rho past r) for the value at rho = 0
+            k, m, r = ri.profile
+            if k == 2:
+                b = 2.0 * m * A
+                disc = np.maximum(0.0, b * b + 4.0 * (s - 2.0 * m) * s * (q * r) ** 2)
+                rho = 2.0 * s * q * r * r / (b + np.sqrt(disc))
+            else:
+                rho = (s * q * r - m * A) / (q * (s - m))
+            rho = np.clip(rho, 0.0, R)
+            v = np.exp(s * np.log(A - rho * q) - m * np.log1p(-(rho / r) ** k))
+        # f_rad(0) = 1; fmin drops a nan (rho past r) for the value at rho = 0
         v = np.fmin(v, A ** s)
     # otherwise the numerator hits 0 inside the support
     return np.where(A > q * R, v, 0.0)
 
 
-def _s_polar_grid(spec, s, Y, c0):
-    fam = spec.family
-    vals = np.asarray(fam.values, dtype=float)
-    pos = vals > 0
-    Xp = np.asarray(fam.origin) + np.argwhere(pos) * fam.spacing
-    p = vals[pos] ** (1.0 / s)
+def _s_polar_vertices(P: "funcmodel._Polytope", s, Y, c0):
+    """The s-polar of a grid-based spec from its support points
+    (`funcmodel.kernel_geometry`): 0 where the numerator goes negative
+    somewhere on supp f, else the least ratio over the points where f > 0."""
+    pos = P.values > 0
+    Xp = P.points[pos]
+    p = P.values[pos] ** (1.0 / s)
     out = np.empty(len(Y))
     chunk = max(1, (1 << 22) // len(Xp))
     for a in range(0, len(Y), chunk):
         Yc = Y[a:a + chunk]
         cc = c0[a:a + chunk]
-        # zero as soon as the numerator goes negative somewhere on supp f
-        zero = cc < funcmodel.supp_support_function(spec, Yc)
+        zero = cc < P.support_function(Yc)
         num_pos = np.maximum(0.0, cc[:, None] - Yc @ Xp.T)
-        # min of an affine/affine ratio over each simplex sits at a vertex
         r = (num_pos / p[None, :]).min(axis=1) ** s
         r[zero] = 0.0
         out[a:a + chunk] = r
-    return out
-
-
-def _s_polar_generic(spec, s, Y, c0, grid_n=81):
-    lo, hi = funcmodel.support_box(spec)
-    d = spec.dimension
-    axes = [np.linspace(lo[i], hi[i], grid_n) for i in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([m.ravel() for m in mesh], axis=1)
-    f = funcmodel.evaluate_batch(spec, X)
-    keep = f > 0
-    X = X[keep]
-    f = f[keep]
-    out = np.empty(len(Y))
-    for i, y in enumerate(Y):
-        numer = c0[i] - X @ y
-        if numer.min() < 0:
-            out[i] = 0.0
-            continue
-        vals = numer**s / f
-        j = int(np.argmin(vals))
-
-        def obj(x):
-            fx = funcmodel.evaluate(spec, x)
-            if fx <= 0:
-                return np.inf
-            n = c0[i] - float(np.dot(x, y))
-            if n < 0:
-                return 0.0
-            return n**s / fx
-
-        res = optimize.minimize(obj, X[j], method="Nelder-Mead",
-                                options={"xatol": 1e-10, "fatol": 1e-12})
-        out[i] = min(vals[j], float(res.fun))
     return out
 
 
@@ -203,18 +159,6 @@ def s_polar(spec: funcmodel.FunctionSpec, s: float, y, center=None) -> float:
     """L_s f at a single point (or L_s(shift(f, center)) when center given)."""
     y = np.asarray(y, dtype=float)
     return float(s_polar_batch(spec, s, y[None, :], center)[0])
-
-
-@dataclass(frozen=True)
-class SPolarEvaluator:
-    """Callable wrapper: y -> L_s(shift(base, center))(y)."""
-
-    base: funcmodel.FunctionSpec
-    s: float
-    center: Optional[tuple] = None
-
-    def __call__(self, Y: np.ndarray) -> np.ndarray:
-        return s_polar_batch(self.base, self.s, Y, self.center)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,16 @@ class TestExitCodes:
                                      "--s", "-1", "--z", "0"])
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("args", [["santalo-point"], ["phi", "--z", "0"],
+                                      ["phi", "--z", "0", "--oracle"]])
+    def test_unbounded_support_at_finite_s_is_2(self, runner, specs, args):
+        # on R^d the s-polar is 0 off y = 0: no Phi to take
+        r = runner.invoke(cli.main, [args[0], "--spec", specs["gauss1"], "--s", "1",
+                                     *args[1:]])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert "Traceback" not in r.output
+
     def test_phi_outside_support_is_1(self, runner, specs):
         r = runner.invoke(cli.main, ["phi", "--spec", specs["box1"],
                                      "--s", "1", "--z", "1.5"])

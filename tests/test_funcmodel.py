@@ -129,6 +129,13 @@ def geometry_case(name, d):
     if name == "shifted-grid":
         inner = _grid(d, fm.SConcave(2.0), [-1.0] * d)
         return fm.FunctionSpec(d, fm.SConcave(2.0), fm.Shifted(inner, tuple(off))), off + e0
+    if name == "fs-grid":
+        # log f > -1 at the nodes with |x|^2 <= 0.625, and f = 0 at |x| = 1
+        return transforms.s_approx(_grid(d, fm.LogConcave(), [-1.0] * d), 1.0), 0.75 * e0
+    if name == "fs-box":
+        V = _box_vertices(d)
+        inner = fm.FunctionSpec(d, fm.LogConcave(), fm.PolytopeIndicator(tuple(map(tuple, V))))
+        return transforms.s_approx(inner, 2.0), V[-1]
     gauss = fm.FunctionSpec(d, fm.LogConcave(), fm.Gaussian((0.0,) * d, 1.0))
     spec = fm.FunctionSpec(d, fm.SConcave(2.0), fm.LogApprox(gauss, 2.0))
     return spec, fm.support_box(spec)[1][0] * e0
@@ -137,7 +144,8 @@ def geometry_case(name, d):
 GEOMETRY_CASES = (
     [(name, d) for name in ("ball", "shifted-ball", "box", "simplex", "fs-gaussian")
      for d in (1, 2, 3)]
-    + [("grid", 1), ("grid", 2), ("log-grid", 2), ("shifted-grid", 2)]
+    + [("grid", 1), ("grid", 2), ("log-grid", 2), ("shifted-grid", 2),
+       ("fs-grid", 1), ("fs-grid", 2), ("fs-box", 2)]
 )
 
 
@@ -175,6 +183,13 @@ class TestGeometry:
     def test_log_approx_of_a_ball_keeps_its_radius(self):
         inner = fm.FunctionSpec(2, fm.LogConcave(), fm.BallIndicator((0.1, 0.2), 1.3))
         assert transforms.s_approx(inner, 2.0).support.radius == 1.3
+
+    def test_empty_log_approx_support(self):
+        # log f <= -1 at every node: f_s = (1 + log f)_+ vanishes everywhere
+        inner = fm.FunctionSpec(1, fm.LogConcave(), fm.GridProfile(
+            (0.0,), 1.0, np.array([0.2, 0.3, 0.2])))
+        with pytest.raises(InputError):
+            fm.support_box(transforms.s_approx(inner, 1.0))
 
     @pytest.mark.parametrize("name,d", GEOMETRY_CASES)
     def test_support_geometry(self, name, d):

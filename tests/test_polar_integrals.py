@@ -44,6 +44,13 @@ class TestQuadrature:
     def test_cache_identity(self):
         assert pint.default_quadrature(2, 1.0) is pint.default_quadrature(2, 1.0)
 
+    def test_doubled_rule_built_once(self):
+        # the error estimate reads the lifted support on one doubled rule
+        spec = hhat_spec(2, 2.0)
+        for _ in range(3):
+            pint.phi_sphere(spec, 2.0, np.array([0.1, -0.2]), error_estimate=True)
+        assert len(pint._SUPPORT_CACHE[spec]) <= 2
+
     def test_node_support_per_quadrature(self):
         # quadratures built and dropped in turn may share an id()
         spec = hhat_spec(2, 1.0)
@@ -185,6 +192,29 @@ class TestShiftedGrid:
             z = np.asarray(z)
             assert pint.phi_sphere(shifted, 2.0, z).value == pytest.approx(
                 pint.phi_sphere(inner, 2.0, z - off).value, rel=1e-12)
+
+
+def log_grid_d2():
+    """exp of the profile of pool_grid_d2 where it is positive, declared
+    log-concave: log f is affine on each Kuhn simplex."""
+    x = np.linspace(-1.0, 1.0, 9)
+    r2 = sum(m * m for m in np.meshgrid(x, x, indexing="ij"))
+    return fm.FunctionSpec(2, fm.LogConcave(),
+                           fm.GridProfile((-1.0, -1.0), 0.25, np.maximum(0.0, 1.0 - r2)))
+
+
+class TestLogConcaveGrid:
+    @pytest.mark.parametrize("approx", [False, True])
+    def test_sphere_rule_oracle_and_santalo_point(self, approx):
+        spec = log_grid_d2()
+        if approx:
+            spec = transforms.s_approx(spec, 2.0)
+        z = np.array([0.1, -0.05])
+        assert pint.phi_sphere(spec, 2.0, z).value == pytest.approx(
+            pint.phi_oracle(spec, 2.0, z).value, rel=1e-3)
+        res = santalo.santalo_point(spec, 2.0, compute_moment=False)
+        assert res.converged
+        np.testing.assert_allclose(res.z_star, 0.0, atol=1e-8)  # f is even
 
 
 class TestGradient:

@@ -4,11 +4,11 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polarlab import funcmodel as fm
-from polarlab import transforms
+from polarlab import lifting, transforms
 from polarlab.errors import InputError
 
 
@@ -171,8 +171,8 @@ class TestRadialKernel:
                 assert math.log(g) == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     def test_log_approx_without_closed_form(self, brute_min):
-        # log_approx of a log-concave hhat has no closed-form profile; it
-        # takes the generic search
+        # log_approx of a log-concave hhat has no closed-form profile; the
+        # radial kernel takes a golden-section search over the radius
         inner = fm.FunctionSpec(1, fm.LogConcave(), fm.HhatPower(2.0))
         spec = transforms.s_approx(inner, 3.0)
         assert spec.radial.profile is None
@@ -183,7 +183,128 @@ class TestRadialKernel:
                     return np.where(fr > 0.0, (1.0 - rho * abs(y)) ** 3.0 / fr, np.inf)
 
             got = transforms.s_polar(spec, 3.0, np.array([y]))
-            assert got == pytest.approx(brute_min(ratio, 0.0, 1.0), rel=1e-8)
+            assert got == pytest.approx(brute_min(ratio, 0.0, 1.0), rel=1e-10)
+
+
+@st.composite
+def vertex_cases(draw):
+    """(spec, s, centre, offset, rng) for a random grid of either class at
+    d = 1 or 2 (at most 7 nodes a side, zero nodes where its concave profile
+    falls below a cut), optionally shifted and, for the log class, optionally
+    under log_approx; s at most the class s (any s for the log class)."""
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(3, 7))
+    log = draw(st.booleans())
+    coords = np.meshgrid(*([np.linspace(-1.0, 1.0, n)] * d), indexing="ij")
+    c = [draw(st.floats(-0.5, 0.5)) for _ in range(d)]
+    a = [draw(st.floats(0.3, 1.5)) for _ in range(d)]
+    b = [draw(st.floats(-0.5, 0.5)) for _ in range(d)]
+    prof = 1.0 - sum(ai * (x - ci) ** 2 - bi * x for x, ci, ai, bi in zip(coords, c, a, b))
+    if log:
+        prof = prof - prof.max()
+        cut = draw(st.floats(-3.0, -0.3))
+        vals = np.where(prof > cut, np.exp(draw(st.floats(0.2, 4.0)) * prof), 0.0)
+        cls = fm.LogConcave()
+    else:
+        cs = draw(st.sampled_from([0.3, 1.0, 2.0, 5.0]))
+        vals = np.maximum(0.0, prof) ** cs
+        cls = fm.SConcave(cs)
+    offset = np.array([draw(st.floats(-0.5, 0.5)) for _ in range(d)])
+    shift = draw(st.sampled_from(["none", "outer", "inner"]) if log
+                 else st.sampled_from(["none", "outer"]))
+    try:
+        spec = fm.FunctionSpec(d, cls, fm.GridProfile((-1.0,) * d, 2.0 / (n - 1), vals))
+        if shift == "inner":
+            spec = fm.FunctionSpec(d, cls, fm.Shifted(spec, tuple(offset)))
+        if log and draw(st.booleans()):
+            # mostly below the range of -log f, so that log f = -s' crosses edges
+            low = -np.log(vals[vals > 0]).min()
+            spec = transforms.s_approx(spec, max(0.3, draw(st.floats(0.1, 1.2)) * low))
+        if shift == "outer":
+            spec = fm.FunctionSpec(d, spec.concavity_class, fm.Shifted(spec, tuple(offset)))
+        spec.support
+    except InputError:  # disconnected, no full cell, or an empty log_approx
+        assume(False)
+    cs = spec.class_s
+    s = draw(st.floats(0.2, 8.0)) if cs is None else cs * draw(
+        st.just(1.0) | st.floats(0.1, 1.0))
+    centre = np.array([draw(st.floats(-0.2, 0.2)) for _ in range(d)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return spec, s, centre, (offset if shift != "none" else np.zeros(d)), rng
+
+
+def _dense_sample(d, offset):
+    """Points of [-1, 1]^d + offset on a lattice that holds every grid node
+    of vertex_cases (2400 cells a side at d = 1, 240 at d = 2)."""
+    m = {1: 2401, 2: 241}[d]
+    axes = [np.linspace(-1.0, 1.0, m) + o for o in offset]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+class TestVertexKernels:
+    """The s-polar and the lifted support of a grid-based spec are taken at
+    the vertices of its pieces; a dense sample of supp f never does better."""
+
+    @given(vertex_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_s_polar_not_above_brute_force(self, case):
+        spec, s, centre, offset, rng = case
+        X = _dense_sample(spec.dimension, offset)
+        f = fm.evaluate_batch(spec, X)
+        X, f = X[f > 0], f[f > 0]
+        Y = rng.uniform(-1.5, 1.5, size=(24, spec.dimension))
+        c0 = 1.0 + Y @ centre
+        num = c0[:, None] - Y @ X.T
+        low = num.min(axis=1)
+        want = np.where(low < 0.0, 0.0, (np.maximum(num, 0.0) ** s / f).min(axis=1))
+        got = transforms.s_polar_batch(spec, s, Y, centre)
+        # a numerator within rounding of 0 on the sample: a knife edge
+        clear = np.abs(low) > 1e-9
+        assert np.all(got[clear] <= want[clear] * (1.0 + 1e-12))
+
+    @given(vertex_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_lifted_support_not_below_brute_force(self, case):
+        spec, s, centre, offset, rng = case
+        X = _dense_sample(spec.dimension, offset)
+        f = fm.evaluate_batch(spec, X)
+        X, f = X[f > 0], f[f > 0]
+        U = rng.normal(size=(24, spec.dimension + 1))
+        want = (U[:, :-1] @ (X - centre).T + np.abs(U[:, -1:]) * f ** (1.0 / s)).max(axis=1)
+        got = lifting.LiftedBody(spec, s, tuple(centre)).support_batch(U)
+        assert np.all(got >= want - 1e-12 * np.abs(want).max())
+
+    @given(vertex_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_support_points_carry_f(self, case):
+        # every point is in the closure of supp f and carries f there, so
+        # neither kernel can do better than f itself: with the two tests
+        # above, the kernels are exact
+        spec = case[0]
+        P = spec.support
+        f = fm.evaluate_batch(spec, P.points)
+        if spec.class_s is None:
+            np.testing.assert_allclose(np.log(P.values), np.log(f), rtol=0.0, atol=1e-12)
+        else:
+            np.testing.assert_allclose(P.values ** (1.0 / spec.class_s),
+                                       f ** (1.0 / spec.class_s), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("cls_s, s", [(1.0, 4.0), (0.5, 3.0)])
+    def test_above_the_class_s_is_refused(self, cls_s, s):
+        # there f^(1/s) on a piece is a concave power of an affine function,
+        # and both extrema can fall inside the piece: on this grid the
+        # vertex minimum reads up to 5x the s-polar, and the vertex maximum
+        # up to 0.2 below the lifted support
+        grid = fm.FunctionSpec(1, fm.SConcave(cls_s), fm.GridProfile(
+            (0.0,), 0.5, np.array([0.0, 0.2, 1.0, 0.3, 0.0])))
+        log_grid = fm.FunctionSpec(1, fm.LogConcave(), fm.GridProfile(
+            (0.0,), 0.5, np.array([0.0, 0.2, 1.0, 0.3, 0.0])))
+        for spec in (grid, fm.FunctionSpec(1, fm.SConcave(s), fm.Shifted(grid, (0.1,))),
+                     transforms.s_approx(log_grid, cls_s)):
+            with pytest.raises(InputError):
+                transforms.s_polar_batch(spec, s, np.array([[0.3]]))
+            with pytest.raises(InputError):
+                lifting.LiftedBody(spec, s).support_batch(np.array([[0.3, 1.0]]))
 
 
 class TestLegendre:
