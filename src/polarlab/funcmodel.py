@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -73,75 +73,327 @@ class LogConcave:
     """log f is concave on the support of f."""
 
 
+class Family:
+    """A family of functions: the `family` of a FunctionSpec.
+
+    A family is a frozen dataclass of its parameters, named in JSON by
+    `kind`, with the JSON schema of each field in `schema`, and registered
+    in FAMILIES; `spec_from_json` reads each field by its type (float,
+    tuple, np.ndarray or a nested FunctionSpec).  It implements
+    `validate(spec)` and `evaluate(spec, X)`, and `support(spec)` unless
+    `radial(d)` gives f; the defaults: no radial form, no indicator, sup 1.
+    """
+
+    kind: ClassVar[str]
+    schema: ClassVar[dict]
+    indicator = False
+
+    def radial(self, d: int) -> Optional["RadialInfo"]:
+        return None
+
+    def sup(self, spec: "FunctionSpec") -> float:
+        return 1.0
+
+
+_VECTOR = {"type": "array", "items": {"type": "number"}, "minItems": 1}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+
+
 @dataclass(frozen=True)
-class BallIndicator:
+class BallIndicator(Family):
     center: tuple
     radius: float
     kind = "ball_indicator"
+    schema = {"center": _VECTOR, "radius": _POSITIVE}
+    indicator = True
+
+    def validate(self, spec):
+        _vec(self.center, spec.dimension, "ball center")
+        if not self.radius > 0:
+            raise InputError("ball radius must be positive")
+
+    def evaluate(self, spec, X):
+        r = np.linalg.norm(X - np.asarray(self.center), axis=1)
+        return (r <= self.radius).astype(float)
+
+    def radial(self, d):
+        return RadialInfo(np.asarray(self.center), self.radius,
+                          lambda r: (np.asarray(r) <= self.radius).astype(float),
+                          indicator=True)
 
 
 @dataclass(frozen=True)
-class PolytopeIndicator:
+class PolytopeIndicator(Family):
     vertices: tuple  # tuple of coordinate tuples; nonempty interior required
     kind = "polytope_indicator"
+    schema = {"vertices": {"type": "array", "items": _VECTOR, "minItems": 2}}
+    indicator = True
+
+    def validate(self, spec):
+        V = _array(self.vertices, "polytope vertices")
+        d = spec.dimension
+        if V.ndim != 2 or V.shape[1] != d or V.shape[0] < d + 1:
+            raise InputError("polytope needs at least d+1 vertices of dimension d")
+        spec.support  # raises on empty interior
+
+    def evaluate(self, spec, X):
+        P = spec.support
+        inside = np.all(X @ P.A.T <= P.b + 1e-12, axis=1)
+        return inside.astype(float)
+
+    def support(self, spec):
+        V = np.asarray(self.vertices, dtype=float)
+        return _Polytope.hull(V, V.min(axis=0), V.max(axis=0))
 
 
 @dataclass(frozen=True)
-class HhatPower:
+class HhatPower(Family):
     """(1 - |x|^2)_+^(s_exponent/2): the canonical self-s-polar bump."""
 
     s_exponent: float
     kind = "hhat_power"
+    schema = {"s_exponent": _POSITIVE}
+
+    def validate(self, spec):
+        if not self.s_exponent > 0:
+            raise InputError("hhat_power exponent must be positive")
+
+    def evaluate(self, spec, X):
+        r2 = np.sum(X * X, axis=1)
+        return np.maximum(0.0, 1.0 - r2) ** (self.s_exponent / 2.0)
+
+    def radial(self, d):
+        e = self.s_exponent
+        return RadialInfo(np.zeros(d), 1.0,
+                          lambda r: np.maximum(0.0, 1.0 - np.asarray(r) ** 2) ** (e / 2.0),
+                          profile=(2, e / 2.0, 1.0))
 
 
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(Family):
     center: tuple
     sigma: float
     kind = "gaussian"
+    schema = {"center": _VECTOR, "sigma": _POSITIVE}
+
+    def validate(self, spec):
+        _vec(self.center, spec.dimension, "gaussian center")
+        if not self.sigma > 0:
+            raise InputError("gaussian sigma must be positive")
+
+    def evaluate(self, spec, X):
+        r2 = np.sum((X - np.asarray(self.center)) ** 2, axis=1)
+        return np.exp(-r2 / (2.0 * self.sigma**2))
+
+    def radial(self, d):
+        sg = self.sigma
+        return RadialInfo(np.asarray(self.center), np.inf,
+                          lambda r: np.exp(-np.asarray(r) ** 2 / (2.0 * sg**2)),
+                          log_profile=(2, sg * math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
-class ExpNegNorm:
+class ExpNegNorm(Family):
     scale: float
     kind = "exp_neg_norm"
+    schema = {"scale": _POSITIVE}
+
+    def validate(self, spec):
+        if not self.scale > 0:
+            raise InputError("exp_neg_norm scale must be positive")
+
+    def evaluate(self, spec, X):
+        return np.exp(-self.scale * np.linalg.norm(X, axis=1))
+
+    def radial(self, d):
+        a = self.scale
+        return RadialInfo(np.zeros(d), np.inf,
+                          lambda r: np.exp(-a * np.asarray(r)),
+                          log_profile=(1, 1.0 / a))
 
 
 @dataclass(frozen=True, eq=False)
-class GridProfile:
+class GridProfile(Family):
     origin: tuple
     spacing: float
     values: np.ndarray = field(repr=False)
     kind = "grid_profile"
+    schema = {"origin": _VECTOR, "spacing": _POSITIVE, "values": {"type": "array"}}
+
+    def validate(self, spec):
+        d = spec.dimension
+        vals = _array(self.values, "grid values")
+        if vals.ndim != d:
+            raise InputError("grid values must be a d-dimensional array")
+        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
+            raise InputError("grid values must be finite and nonnegative")
+        if self.spacing <= 0:
+            raise InputError("grid spacing must be positive")
+        _vec(self.origin, d, "grid origin")
+        _validate_grid_support(vals)
+
+    def evaluate(self, spec, X):
+        # row blocks bound the interpolation's temporaries (~200 bytes a row, d = 2)
+        p = np.concatenate([_grid_interp_profile(spec, X[a:a + _GRID_BLOCK])
+                            for a in range(0, len(X), _GRID_BLOCK)] or [np.empty(0)])
+        if spec.is_log_concave:
+            out = np.exp(p)
+            out[~np.isfinite(p)] = 0.0
+            return out
+        return np.maximum(0.0, p) ** spec.class_s
+
+    def support(self, spec):
+        """Hull of the support nodes, inside the box of the positive nodes
+        padded by one cell where the grid allows.
+
+        Log-concave: the positive nodes.  s-concave: f^(1/s) is linear on
+        each Kuhn simplex, so f > 0 also reaches towards the zero nodes
+        p + delta, delta in {0,1}^d or {0,-1}^d, that share a simplex with a
+        positive node p.
+        """
+        org = np.asarray(self.origin)
+        vals = np.asarray(self.values, dtype=float)
+        near = vals > 0
+        pos = np.argwhere(near)
+        if not spec.is_log_concave:
+            from scipy import ndimage
+
+            delta = np.indices((3,) * spec.dimension) - 1
+            star = np.all(delta >= 0, axis=0) | np.all(delta <= 0, axis=0)
+            near = ndimage.binary_dilation(near, structure=star)
+        return _Polytope.hull(
+            org + np.argwhere(near) * self.spacing,
+            org + (pos.min(axis=0) - 1).clip(0) * self.spacing,
+            org + (pos.max(axis=0) + 1).clip(max=np.asarray(vals.shape) - 1) * self.spacing,
+            vals[near])
+
+    def sup(self, spec):
+        return float(np.asarray(self.values).max())
 
 
 @dataclass(frozen=True)
-class Shifted:
-    inner: "FunctionSpec"
+class Shifted(Family):
+    """f(x - offset) for the inner spec's f."""
+
+    inner: FunctionSpec
     offset: tuple
     kind = "shifted"
+    schema = {"inner": {"type": "object"}, "offset": _VECTOR}
+
+    @property
+    def indicator(self):
+        return self.inner.family.indicator
+
+    def validate(self, spec):
+        if self.inner.dimension != spec.dimension:
+            raise InputError("shifted inner spec dimension mismatch")
+        if type(self.inner.concavity_class) is not type(spec.concavity_class):
+            raise InputError("shifted inner spec concavity class mismatch")
+        _vec(self.offset, spec.dimension, "shift offset")
+
+    def evaluate(self, spec, X):
+        return evaluate_batch(self.inner, X - np.asarray(self.offset))
+
+    def radial(self, d):
+        ri = self.inner.radial
+        if ri is None:
+            return None
+        return replace(ri, center=ri.center + np.asarray(self.offset))
+
+    def support(self, spec):
+        return self.inner.support.translated(np.asarray(self.offset))
+
+    def sup(self, spec):
+        return sup_value(self.inner)
 
 
 @dataclass(frozen=True)
-class LogApprox:
+class LogApprox(Family):
     """(1 + log f_inner / s)_+^s: the s-concave approximation of a
     log-concave inner function."""
 
-    inner: "FunctionSpec"
+    inner: FunctionSpec
     s: float
     kind = "log_approx"
+    schema = {"inner": {"type": "object"}, "s": _POSITIVE}
+
+    @property
+    def indicator(self):
+        return self.inner.family.indicator
+
+    def validate(self, spec):
+        if self.inner.dimension != spec.dimension:
+            raise InputError("log_approx inner spec dimension mismatch")
+        if not self.inner.is_log_concave:
+            raise InputError("log_approx requires a log-concave inner spec")
+        if spec.class_s != self.s:
+            raise InputError("log_approx spec must be SConcave with matching s")
+        if not self.s > 0:
+            raise InputError("log_approx s must be positive")
+
+    def evaluate(self, spec, X):
+        inner = evaluate_batch(self.inner, X)
+        with np.errstate(divide="ignore"):
+            lg = np.log(inner)
+        return np.maximum(0.0, 1.0 + lg / self.s) ** self.s
+
+    def radial(self, d):
+        ri = self.inner.radial
+        if ri is None:
+            return None
+        s = self.s
+
+        def f_rad(r, _inner=ri.f_rad, _s=s):
+            with np.errstate(divide="ignore"):
+                lg = np.log(_inner(r))
+            return np.maximum(0.0, 1.0 + lg / _s) ** _s
+
+        # support radius: where log f_inner drops to -s
+        radius = ri.level_radius(math.exp(-s))
+        profile = None
+        if ri.log_profile is not None:
+            # 1 - (rho/r)^k / s = 1 - (rho / (r s^(1/k)))^k
+            k, r = ri.log_profile
+            profile = (k, s, r * s ** (1.0 / k))
+        return RadialInfo(ri.center, radius, f_rad, profile=profile)
+
+    def support(self, spec):
+        """conv supp f_s: that of f for an indicator (log 1 = 0: f_s = f);
+        else f is a log-concave grid, shifted or not.
+
+        f_s^(1/s) is then the positive part of an affine function on each
+        Kuhn simplex, so supp f_s is the hull of the nodes where it is
+        positive and of the points where it is 0 on the Kuhn edges, the node
+        pairs that differ by a nonzero delta in {0,1}^d.
+        """
+        if self.indicator:
+            return self.inner.support
+        s = self.s
+        grid, offset = unshift(self.inner)
+        fam = grid.family
+        with np.errstate(divide="ignore"):
+            p = 1.0 + np.log(np.asarray(fam.values, dtype=float)) / s
+        if not (p > 0).any():
+            raise InputError("log_approx support is empty (log f <= -s everywhere)")
+        idx, values = [np.argwhere(p > 0)], [p[p > 0] ** s]
+        for delta in np.argwhere(np.ones((2,) * spec.dimension))[1:]:
+            a = np.argwhere(np.ones(np.asarray(p.shape) - delta))
+            pa, pb = p[tuple(a.T)], p[tuple((a + delta).T)]
+            cross = np.isfinite(pa) & np.isfinite(pb) & ((pa > 0) != (pb > 0))
+            t = pa[cross] / (pa[cross] - pb[cross])
+            idx.append(a[cross] + t[:, None] * delta)
+            values.append(np.zeros(len(t)))
+        box = grid.support
+        return _Polytope.hull(np.asarray(fam.origin) + np.concatenate(idx) * fam.spacing + offset,
+                              box.lo + offset, box.hi + offset, np.concatenate(values))
+
+    def sup(self, spec):
+        top = max(sup_value(self.inner), 1e-300)
+        return float(np.maximum(0.0, 1.0 + math.log(top) / self.s) ** self.s)
 
 
-Family = Union[
-    BallIndicator,
-    PolytopeIndicator,
-    HhatPower,
-    Gaussian,
-    ExpNegNorm,
-    GridProfile,
-    Shifted,
-    LogApprox,
-]
+FAMILIES = {cls.kind: cls for cls in (BallIndicator, PolytopeIndicator, HhatPower, Gaussian,
+                                      ExpNegNorm, GridProfile, Shifted, LogApprox)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +403,18 @@ class FunctionSpec:
     family: Family
 
     def __post_init__(self):
-        _validate_spec(self)
+        d = self.dimension
+        if not isinstance(d, (int, np.integer)) or not 1 <= d <= 3:
+            raise InputError("dimension must be 1, 2 or 3")
+        cc = self.concavity_class
+        if isinstance(cc, SConcave):
+            if not (cc.s > 0 and math.isfinite(cc.s)):
+                raise InputError("SConcave requires s > 0")
+        elif not isinstance(cc, LogConcave):
+            raise InputError("concavity_class must be SConcave or LogConcave")
+        if not isinstance(self.family, Family):
+            raise InputError(f"unknown family {type(self.family).__name__}")
+        self.family.validate(self)
 
     @property
     def is_log_concave(self) -> bool:
@@ -165,16 +428,29 @@ class FunctionSpec:
     @cached_property
     def radial(self) -> Optional["RadialInfo"]:
         """Radial description of f, or None; computed once per spec."""
-        return _radial(self)
+        return self.family.radial(self.dimension)
 
     @cached_property
     def support(self) -> Union["_Ball", "_Polytope"]:
         """conv supp f, truncated at EPS_TAIL; computed once per spec."""
-        return _support(self)
+        ri = self.radial
+        if ri is not None:
+            return _Ball(ri.center, ri.truncated_radius(EPS_TAIL))
+        return self.family.support(self)
+
+
+def unshift(spec: FunctionSpec):
+    """(inner, offset) with spec = inner shifted by offset and inner not
+    itself shifted."""
+    offset = np.zeros(spec.dimension)
+    while isinstance(spec.family, Shifted):
+        offset = offset + np.asarray(spec.family.offset)
+        spec = spec.family.inner
+    return spec, offset
 
 
 def _vec(v, d, what):
-    a = np.asarray(v, dtype=float)
+    a = _array(v, what)
     if a.shape != (d,):
         raise InputError(f"{what}: expected a vector of length {d}, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -182,64 +458,11 @@ def _vec(v, d, what):
     return a
 
 
-def _validate_spec(spec: FunctionSpec) -> None:
-    d = spec.dimension
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise InputError("dimension must be a positive integer")
-    cc = spec.concavity_class
-    if isinstance(cc, SConcave):
-        if not (cc.s > 0 and math.isfinite(cc.s)):
-            raise InputError("SConcave requires s > 0")
-    elif not isinstance(cc, LogConcave):
-        raise InputError("concavity_class must be SConcave or LogConcave")
-
-    fam = spec.family
-    if isinstance(fam, BallIndicator):
-        _vec(fam.center, d, "ball center")
-        if not fam.radius > 0:
-            raise InputError("ball radius must be positive")
-    elif isinstance(fam, PolytopeIndicator):
-        V = np.asarray(fam.vertices, dtype=float)
-        if V.ndim != 2 or V.shape[1] != d or V.shape[0] < d + 1:
-            raise InputError("polytope needs at least d+1 vertices of dimension d")
-        spec.support  # raises on empty interior
-    elif isinstance(fam, HhatPower):
-        if not fam.s_exponent > 0:
-            raise InputError("hhat_power exponent must be positive")
-    elif isinstance(fam, Gaussian):
-        _vec(fam.center, d, "gaussian center")
-        if not fam.sigma > 0:
-            raise InputError("gaussian sigma must be positive")
-    elif isinstance(fam, ExpNegNorm):
-        if not fam.scale > 0:
-            raise InputError("exp_neg_norm scale must be positive")
-    elif isinstance(fam, GridProfile):
-        vals = np.asarray(fam.values, dtype=float)
-        if vals.ndim != d:
-            raise InputError("grid values must be a d-dimensional array")
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise InputError("grid values must be finite and nonnegative")
-        if fam.spacing <= 0:
-            raise InputError("grid spacing must be positive")
-        _vec(fam.origin, d, "grid origin")
-        _validate_grid_support(vals)
-    elif isinstance(fam, Shifted):
-        if fam.inner.dimension != d:
-            raise InputError("shifted inner spec dimension mismatch")
-        if type(fam.inner.concavity_class) is not type(cc):
-            raise InputError("shifted inner spec concavity class mismatch")
-        _vec(fam.offset, d, "shift offset")
-    elif isinstance(fam, LogApprox):
-        if fam.inner.dimension != d:
-            raise InputError("log_approx inner spec dimension mismatch")
-        if not fam.inner.is_log_concave:
-            raise InputError("log_approx requires a log-concave inner spec")
-        if not (isinstance(cc, SConcave) and cc.s == fam.s):
-            raise InputError("log_approx spec must be SConcave with matching s")
-        if not fam.s > 0:
-            raise InputError("log_approx s must be positive")
-    else:
-        raise InputError(f"unknown family {type(fam).__name__}")
+def _array(v, what):
+    try:
+        return np.asarray(v, dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        raise InputError(f"{what} must be a rectangular array of numbers") from None
 
 
 def _validate_grid_support(vals: np.ndarray) -> None:
@@ -289,39 +512,7 @@ def evaluate_batch(spec: FunctionSpec, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.dimension:
         raise InputError("points must have shape (n, d)")
-    fam = spec.family
-    if isinstance(fam, BallIndicator):
-        r = np.linalg.norm(X - np.asarray(fam.center), axis=1)
-        return (r <= fam.radius).astype(float)
-    if isinstance(fam, PolytopeIndicator):
-        P = spec.support
-        inside = np.all(X @ P.A.T <= P.b + 1e-12, axis=1)
-        return inside.astype(float)
-    if isinstance(fam, HhatPower):
-        r2 = np.sum(X * X, axis=1)
-        return np.maximum(0.0, 1.0 - r2) ** (fam.s_exponent / 2.0)
-    if isinstance(fam, Gaussian):
-        r2 = np.sum((X - np.asarray(fam.center)) ** 2, axis=1)
-        return np.exp(-r2 / (2.0 * fam.sigma**2))
-    if isinstance(fam, ExpNegNorm):
-        return np.exp(-fam.scale * np.linalg.norm(X, axis=1))
-    if isinstance(fam, Shifted):
-        return evaluate_batch(fam.inner, X - np.asarray(fam.offset))
-    if isinstance(fam, LogApprox):
-        inner = evaluate_batch(fam.inner, X)
-        with np.errstate(divide="ignore"):
-            lg = np.log(inner)
-        return np.maximum(0.0, 1.0 + lg / fam.s) ** fam.s
-    if isinstance(fam, GridProfile):
-        # row blocks bound the interpolation's temporaries (~200 bytes a row, d = 2)
-        p = np.concatenate([_grid_interp_profile(spec, X[a:a + _GRID_BLOCK])
-                            for a in range(0, len(X), _GRID_BLOCK)] or [np.empty(0)])
-        if spec.is_log_concave:
-            out = np.exp(p)
-            out[~np.isfinite(p)] = 0.0
-            return out
-        return np.maximum(0.0, p) ** spec.class_s
-    raise InputError("unhandled family")
+    return spec.family.evaluate(spec, X)
 
 
 def profile_batch(spec: FunctionSpec, X: np.ndarray) -> np.ndarray:
@@ -455,62 +646,8 @@ class RadialInfo:
         return hi
 
 
-def _radial(spec: FunctionSpec) -> Optional[RadialInfo]:
-    fam = spec.family
-    d = spec.dimension
-    if isinstance(fam, BallIndicator):
-        return RadialInfo(np.asarray(fam.center), fam.radius,
-                          lambda r: (np.asarray(r) <= fam.radius).astype(float),
-                          indicator=True)
-    if isinstance(fam, HhatPower):
-        e = fam.s_exponent
-        return RadialInfo(np.zeros(d), 1.0,
-                          lambda r: np.maximum(0.0, 1.0 - np.asarray(r) ** 2) ** (e / 2.0),
-                          profile=(2, e / 2.0, 1.0))
-    if isinstance(fam, Gaussian):
-        sg = fam.sigma
-        return RadialInfo(np.asarray(fam.center), np.inf,
-                          lambda r: np.exp(-np.asarray(r) ** 2 / (2.0 * sg**2)),
-                          log_profile=(2, sg * math.sqrt(2.0)))
-    if isinstance(fam, ExpNegNorm):
-        a = fam.scale
-        return RadialInfo(np.zeros(d), np.inf,
-                          lambda r: np.exp(-a * np.asarray(r)),
-                          log_profile=(1, 1.0 / a))
-    if isinstance(fam, Shifted):
-        ri = fam.inner.radial
-        if ri is None:
-            return None
-        return replace(ri, center=ri.center + np.asarray(fam.offset))
-    if isinstance(fam, LogApprox):
-        ri = fam.inner.radial
-        if ri is None:
-            return None
-        s = fam.s
-
-        def f_rad(r, _inner=ri.f_rad, _s=s):
-            with np.errstate(divide="ignore"):
-                lg = np.log(_inner(r))
-            return np.maximum(0.0, 1.0 + lg / _s) ** _s
-
-        # support radius: where log f_inner drops to -s
-        radius = ri.level_radius(math.exp(-s))
-        profile = None
-        if ri.log_profile is not None:
-            # 1 - (rho/r)^k / s = 1 - (rho / (r s^(1/k)))^k
-            k, r = ri.log_profile
-            profile = (k, s, r * s ** (1.0 / k))
-        return RadialInfo(ri.center, radius, f_rad, profile=profile)
-    return None
-
-
 def is_indicator(spec: FunctionSpec) -> bool:
-    fam = spec.family
-    if isinstance(fam, (BallIndicator, PolytopeIndicator)):
-        return True
-    if isinstance(fam, (Shifted, LogApprox)):
-        return is_indicator(fam.inner)
-    return False
+    return spec.family.indicator
 
 
 @dataclass(frozen=True)
@@ -607,21 +744,12 @@ class _Polytope:
         return A, b, tri, np.abs(np.linalg.det(A[tri]))
 
 
-def _support(spec: FunctionSpec) -> Union[_Ball, _Polytope]:
-    ri = spec.radial
-    if ri is not None:
-        return _Ball(ri.center, ri.truncated_radius(EPS_TAIL))
-    fam = spec.family
-    if isinstance(fam, PolytopeIndicator):
-        V = np.asarray(fam.vertices, dtype=float)
-        return _Polytope.hull(V, V.min(axis=0), V.max(axis=0))
-    if isinstance(fam, GridProfile):
-        return _grid_support(spec)
-    if isinstance(fam, Shifted):
-        return fam.inner.support.translated(np.asarray(fam.offset))
-    if is_indicator(fam.inner):
-        return fam.inner.support  # log 1 = 0: f_s = f
-    return _log_approx_support(fam.inner, fam.s)
+def polytope_support(spec: FunctionSpec) -> Optional[_Polytope]:
+    """The support of spec when spec is the indicator of a polytope, None for
+    any other spec."""
+    if is_indicator(spec) and isinstance(spec.support, _Polytope):
+        return spec.support
+    return None
 
 
 def kernel_geometry(spec: FunctionSpec, s: float) -> Union[RadialInfo, _Polytope]:
@@ -642,70 +770,11 @@ def kernel_geometry(spec: FunctionSpec, s: float) -> Union[RadialInfo, _Polytope
         if not np.isfinite(ri.radius):
             raise InputError("finite s requires a bounded support")
         return ri
-    piece = spec
-    while isinstance(piece.family, Shifted):
-        piece = piece.family.inner
+    piece, _ = unshift(spec)
     if piece.class_s is not None and s > piece.class_s:
         raise InputError(f"a grid-based spec of class s = {piece.class_s} "
                          f"has no exact kernel at s = {s}")
     return spec.support
-
-
-def _grid_support(spec: FunctionSpec) -> _Polytope:
-    """Hull of the support nodes, inside the box of the positive nodes padded
-    by one cell where the grid allows.
-
-    Log-concave: the positive nodes.  s-concave: f^(1/s) is linear on each
-    Kuhn simplex, so f > 0 also reaches towards the zero nodes p + delta,
-    delta in {0,1}^d or {0,-1}^d, that share a simplex with a positive node p.
-    """
-    fam = spec.family
-    org = np.asarray(fam.origin)
-    vals = np.asarray(fam.values, dtype=float)
-    near = vals > 0
-    pos = np.argwhere(near)
-    if not spec.is_log_concave:
-        from scipy import ndimage
-
-        delta = np.indices((3,) * spec.dimension) - 1
-        star = np.all(delta >= 0, axis=0) | np.all(delta <= 0, axis=0)
-        near = ndimage.binary_dilation(near, structure=star)
-    return _Polytope.hull(
-        org + np.argwhere(near) * fam.spacing,
-        org + (pos.min(axis=0) - 1).clip(0) * fam.spacing,
-        org + (pos.max(axis=0) + 1).clip(max=np.asarray(vals.shape) - 1) * fam.spacing,
-        vals[near])
-
-
-def _log_approx_support(inner: FunctionSpec, s: float) -> _Polytope:
-    """conv supp f_s for f_s = (1 + log f / s)_+^s of a log-concave grid f,
-    shifted or not.
-
-    f_s^(1/s) is the positive part of an affine function on each Kuhn
-    simplex, so supp f_s is the hull of the nodes where it is positive and
-    of the points where it is 0 on the Kuhn edges, the node pairs that
-    differ by a nonzero delta in {0,1}^d.
-    """
-    offset = 0.0
-    while isinstance(inner.family, Shifted):
-        offset = offset + np.asarray(inner.family.offset)
-        inner = inner.family.inner
-    fam = inner.family
-    with np.errstate(divide="ignore"):
-        p = 1.0 + np.log(np.asarray(fam.values, dtype=float)) / s
-    if not (p > 0).any():
-        raise InputError("log_approx support is empty (log f <= -s everywhere)")
-    idx, values = [np.argwhere(p > 0)], [p[p > 0] ** s]
-    for delta in np.argwhere(np.ones((2,) * inner.dimension))[1:]:
-        a = np.argwhere(np.ones(np.asarray(p.shape) - delta))
-        pa, pb = p[tuple(a.T)], p[tuple((a + delta).T)]
-        cross = np.isfinite(pa) & np.isfinite(pb) & ((pa > 0) != (pb > 0))
-        t = pa[cross] / (pa[cross] - pb[cross])
-        idx.append(a[cross] + t[:, None] * delta)
-        values.append(np.zeros(len(t)))
-    box = inner.support
-    return _Polytope.hull(np.asarray(fam.origin) + np.concatenate(idx) * fam.spacing + offset,
-                          box.lo + offset, box.hi + offset, np.concatenate(values))
 
 
 def support_box(spec: FunctionSpec):
@@ -749,19 +818,7 @@ def conv_support_contains(spec: FunctionSpec, x, tol: float = 0.0) -> bool:
 
 def sup_value(spec: FunctionSpec) -> float:
     """sup f.  All built-in families attain their sup at a known point."""
-    fam = spec.family
-    if isinstance(fam, (BallIndicator, PolytopeIndicator)):
-        return 1.0
-    if isinstance(fam, (HhatPower, Gaussian, ExpNegNorm, LogApprox)):
-        return 1.0 if not isinstance(fam, LogApprox) else float(
-            np.maximum(0.0, 1.0 + math.log(max(sup_value(fam.inner), 1e-300)) / fam.s)
-            ** fam.s
-        )
-    if isinstance(fam, GridProfile):
-        return float(np.asarray(fam.values).max())
-    if isinstance(fam, Shifted):
-        return sup_value(fam.inner)
-    raise InputError("unhandled family in sup_value")
+    return spec.family.sup(spec)
 
 
 def support_samples(spec: FunctionSpec, n: int, seed: int) -> np.ndarray:
@@ -844,7 +901,7 @@ SPEC_SCHEMA = {
     "required": ["dimension", "class", "family"],
     "additionalProperties": False,
     "properties": {
-        "dimension": {"type": "integer", "minimum": 1},
+        "dimension": {"type": "integer", "minimum": 1, "maximum": 3},
         "class": {
             "oneOf": [
                 {"const": "log"},
@@ -864,55 +921,11 @@ SPEC_SCHEMA = {
     },
 }
 
-_VECTOR = {"type": "array", "items": {"type": "number"}, "minItems": 1}
-
-FAMILY_SCHEMAS = {
-    "ball_indicator": {
-        "required": ["kind", "center", "radius"],
-        "properties": {"center": _VECTOR, "radius": {"type": "number", "exclusiveMinimum": 0}},
-    },
-    "polytope_indicator": {
-        "required": ["kind", "vertices"],
-        "properties": {"vertices": {"type": "array", "items": _VECTOR, "minItems": 2}},
-    },
-    "hhat_power": {
-        "required": ["kind", "s_exponent"],
-        "properties": {"s_exponent": {"type": "number", "exclusiveMinimum": 0}},
-    },
-    "gaussian": {
-        "required": ["kind", "center", "sigma"],
-        "properties": {"center": _VECTOR, "sigma": {"type": "number", "exclusiveMinimum": 0}},
-    },
-    "exp_neg_norm": {
-        "required": ["kind", "scale"],
-        "properties": {"scale": {"type": "number", "exclusiveMinimum": 0}},
-    },
-    "grid_profile": {
-        "required": ["kind", "origin", "spacing", "values"],
-        "properties": {
-            "origin": _VECTOR,
-            "spacing": {"type": "number", "exclusiveMinimum": 0},
-            "values": {"type": "array"},
-        },
-    },
-    "shifted": {
-        "required": ["kind", "inner", "offset"],
-        "properties": {"inner": {"type": "object"}, "offset": _VECTOR},
-    },
-    "log_approx": {
-        "required": ["kind", "inner", "s"],
-        "properties": {"inner": {"type": "object"}, "s": {"type": "number", "exclusiveMinimum": 0}},
-    },
-}
-
-
 def spec_from_json(text: str) -> FunctionSpec:
     """Parse and validate a FunctionSpec JSON document.
 
     Raises InputError carrying a list of {path, message} violations.
     """
-    import jsonschema
-
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -920,60 +933,57 @@ def spec_from_json(text: str) -> FunctionSpec:
     return _spec_from_doc(doc, path="")
 
 
-def _spec_from_doc(doc, path: str) -> FunctionSpec:
+def _schema_errors(schema, doc, path: str) -> None:
     import jsonschema
 
-    validator = jsonschema.Draft202012Validator(SPEC_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    errors = sorted(jsonschema.Draft202012Validator(schema).iter_errors(doc),
+                    key=lambda e: list(e.absolute_path))
     if errors:
-        viol = [
+        raise InputError("spec schema violation", [
             {"path": path + "/" + "/".join(str(p) for p in e.absolute_path),
              "message": e.message}
             for e in errors
-        ]
-        raise InputError("spec schema violation", viol)
+        ])
+
+
+def _spec_from_doc(doc, path: str) -> FunctionSpec:
+    _schema_errors(SPEC_SCHEMA, doc, path)
     fam_doc = doc["family"]
     kind = fam_doc["kind"]
-    if kind not in FAMILY_SCHEMAS:
+    fpath = f"{path}/family"
+    if kind not in FAMILIES:
         raise InputError("spec schema violation",
-                         [{"path": f"{path}/family/kind", "message": f"unknown kind {kind!r}"}])
-    fam_schema = {"type": "object", "additionalProperties": False}
-    fam_schema.update(FAMILY_SCHEMAS[kind])
-    fam_schema["properties"] = dict(fam_schema["properties"], kind={"const": kind})
-    ferrs = sorted(
-        jsonschema.Draft202012Validator(fam_schema).iter_errors(fam_doc),
-        key=lambda e: list(e.absolute_path),
-    )
-    if ferrs:
-        viol = [
-            {"path": f"{path}/family/" + "/".join(str(p) for p in e.absolute_path),
-             "message": e.message}
-            for e in ferrs
-        ]
-        raise InputError("spec schema violation", viol)
+                         [{"path": f"{fpath}/kind", "message": f"unknown kind {kind!r}"}])
+    cls = FAMILIES[kind]
+    _schema_errors({"type": "object", "additionalProperties": False,
+                    "required": ["kind", *(f.name for f in fields(cls))],
+                    "properties": dict(cls.schema, kind={"const": kind})}, fam_doc, fpath)
+    fam = cls(**{f.name: _field_from_json(f.type, fam_doc[f.name], f"{fpath}/{f.name}")
+                 for f in fields(cls)})
+    cc = (LogConcave() if doc["class"] == "log"
+          else SConcave(_field_from_json("float", doc["class"]["s"], f"{path}/class/s")))
+    return FunctionSpec(doc["dimension"], cc, fam)
 
-    cls = LogConcave() if doc["class"] == "log" else SConcave(float(doc["class"]["s"]))
-    d = doc["dimension"]
-    if kind == "ball_indicator":
-        fam = BallIndicator(tuple(fam_doc["center"]), float(fam_doc["radius"]))
-    elif kind == "polytope_indicator":
-        fam = PolytopeIndicator(tuple(tuple(v) for v in fam_doc["vertices"]))
-    elif kind == "hhat_power":
-        fam = HhatPower(float(fam_doc["s_exponent"]))
-    elif kind == "gaussian":
-        fam = Gaussian(tuple(fam_doc["center"]), float(fam_doc["sigma"]))
-    elif kind == "exp_neg_norm":
-        fam = ExpNegNorm(float(fam_doc["scale"]))
-    elif kind == "grid_profile":
-        fam = GridProfile(tuple(fam_doc["origin"]), float(fam_doc["spacing"]),
-                          np.asarray(fam_doc["values"], dtype=float))
-    elif kind == "shifted":
-        fam = Shifted(_spec_from_doc(fam_doc["inner"], path + "/family/inner"),
-                      tuple(fam_doc["offset"]))
-    else:  # log_approx
-        fam = LogApprox(_spec_from_doc(fam_doc["inner"], path + "/family/inner"),
-                        float(fam_doc["s"]))
-    return FunctionSpec(d, cls, fam)
+
+def _field_from_json(ftype: str, value, path: str):
+    """A family field from its JSON value, by the field's type."""
+    if ftype == "FunctionSpec":
+        return _spec_from_doc(value, path)
+    try:
+        if ftype == "float":
+            return float(value)
+        array = np.asarray(value, dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        raise InputError("spec schema violation", [
+            {"path": path, "message": "expected a number" if ftype == "float"
+             else "expected a rectangular array of numbers"}]) from None
+    return array if ftype == "np.ndarray" else _nested(tuple, value)
+
+
+def _nested(container, value):
+    """value with each list, tuple or array level (a JSON array) as container."""
+    return container(_nested(container, v) if isinstance(v, (list, tuple, np.ndarray)) else v
+                     for v in value)
 
 
 def spec_to_json(spec: FunctionSpec) -> str:
@@ -981,25 +991,16 @@ def spec_to_json(spec: FunctionSpec) -> str:
 
 
 def _spec_to_doc(spec: FunctionSpec):
-    cc = spec.concavity_class
-    cls = "log" if isinstance(cc, LogConcave) else {"s": cc.s}
     fam = spec.family
-    if isinstance(fam, BallIndicator):
-        f = {"kind": fam.kind, "center": list(fam.center), "radius": fam.radius}
-    elif isinstance(fam, PolytopeIndicator):
-        f = {"kind": fam.kind, "vertices": [list(v) for v in fam.vertices]}
-    elif isinstance(fam, HhatPower):
-        f = {"kind": fam.kind, "s_exponent": fam.s_exponent}
-    elif isinstance(fam, Gaussian):
-        f = {"kind": fam.kind, "center": list(fam.center), "sigma": fam.sigma}
-    elif isinstance(fam, ExpNegNorm):
-        f = {"kind": fam.kind, "scale": fam.scale}
-    elif isinstance(fam, GridProfile):
-        f = {"kind": fam.kind, "origin": list(fam.origin), "spacing": fam.spacing,
-             "values": np.asarray(fam.values).tolist()}
-    elif isinstance(fam, Shifted):
-        f = {"kind": fam.kind, "inner": _spec_to_doc(fam.inner),
-             "offset": list(fam.offset)}
-    else:
-        f = {"kind": fam.kind, "inner": _spec_to_doc(fam.inner), "s": fam.s}
-    return {"dimension": spec.dimension, "class": cls, "family": f}
+    doc = {"kind": fam.kind}
+    for f in fields(fam):
+        value = getattr(fam, f.name)
+        if f.type == "FunctionSpec":
+            value = _spec_to_doc(value)
+        elif f.type == "np.ndarray":
+            value = np.asarray(value).tolist()
+        elif f.type == "tuple":
+            value = _nested(list, value)
+        doc[f.name] = value
+    cls = "log" if spec.is_log_concave else {"s": spec.class_s}
+    return {"dimension": spec.dimension, "class": cls, "family": doc}

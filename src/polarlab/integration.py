@@ -105,8 +105,9 @@ def integrate_grid(spec: funcmodel.FunctionSpec,
     """Integral of f with an error estimate.
 
     Rotationally symmetric specs take a one-dimensional radial quadrature;
-    polytope indicators use the exact hull volume; everything else falls back
-    to the tensor midpoint rule with Richardson extrapolation.
+    polytope indicators (also shifted) use the exact hull volume; everything
+    else falls back to the tensor midpoint rule with Richardson
+    extrapolation.
     """
     cfg = cfg or IntegrationConfig()
     d = spec.dimension
@@ -118,12 +119,11 @@ def integrate_grid(spec: funcmodel.FunctionSpec,
             return vol, 1e-15 * vol
         # R: the support radius, truncated where f drops to EPS_TAIL
         return radial_integral(ri.f_rad, spec.support.radius, d)
-    fam = spec.family
-    if isinstance(fam, funcmodel.PolytopeIndicator):
-        vol, _ = _polytope_moments(np.asarray(fam.vertices, dtype=float))
+    spec, _ = funcmodel.unshift(spec)  # a shift moves no mass
+    P = funcmodel.polytope_support(spec)
+    if P is not None:
+        vol, _ = _polytope_moments(P.points)
         return vol, 1e-15 * vol
-    if isinstance(fam, funcmodel.Shifted):
-        return integrate_grid(fam.inner, cfg)
     lo, hi = funcmodel.support_box(spec)
     n = cfg.axis_cells(d)
     return richardson_box(lambda X: funcmodel.evaluate_batch(spec, X), lo, hi, n)
@@ -142,13 +142,11 @@ def moment_grid(spec: funcmodel.FunctionSpec,
     if ri is not None:
         mass, err = integrate_grid(spec, cfg)
         return mass, ri.center * mass, err
-    fam = spec.family
-    if isinstance(fam, funcmodel.PolytopeIndicator):
-        mass, mom = _polytope_moments(np.asarray(fam.vertices, dtype=float))
-        return mass, mom, 1e-15 * mass
-    if isinstance(fam, funcmodel.Shifted) and funcmodel.is_indicator(spec):
-        mass, mom, err = moment_grid(fam.inner, cfg)
-        return mass, mom + np.asarray(fam.offset) * mass, err
+    inner, offset = funcmodel.unshift(spec)
+    P = funcmodel.polytope_support(inner)
+    if P is not None:
+        mass, mom = _polytope_moments(P.points)
+        return mass, mom + offset * mass, 1e-15 * mass
     lo, hi = funcmodel.support_box(spec)
     n = 2 * cfg.axis_cells(d)
     mass = 0.0

@@ -202,14 +202,6 @@ def node_support(spec: funcmodel.FunctionSpec, s: float,
     return h0
 
 
-def _polytope_support(spec: funcmodel.FunctionSpec):
-    """The support of spec when spec is the indicator of a polytope, None for
-    any other spec."""
-    if funcmodel.is_indicator(spec) and isinstance(spec.support, funcmodel._Polytope):
-        return spec.support
-    return None
-
-
 def _ball_phi(ball, s: float, z) -> Tuple[float, np.ndarray]:
     """Phi(z) and its gradient for the indicator of B(c, R): with w = z - c,
     (B - z)° is an ellipsoid of volume kappa_d R (R^2 - |w|^2)^{-(d+1)/2}
@@ -267,11 +259,9 @@ def _sphere_functional(spec: funcmodel.FunctionSpec, s: float, w,
     if len(w) == d + 1 and w[d] == 0.0:
         w = w[:d]
     if len(w) == d and funcmodel.is_indicator(spec):
-        K = spec.support
-        if isinstance(K, funcmodel._Polytope):
-            value, gradient = _polytope_phi(K.polar_cells, s, w)
-        else:
-            value, gradient = _ball_phi(K, s, w)
+        P = funcmodel.polytope_support(spec)
+        value, gradient = (_ball_phi(spec.support, s, w) if P is None
+                           else _polytope_phi(P.polar_cells, s, w))
         return value, gradient if grad else None, "exact", None
     quad = quad or default_quadrature(d, s)
     U = quad.nodes[:, :len(w)]
@@ -341,7 +331,7 @@ def phi_oracle(spec: funcmodel.FunctionSpec, s: float, z,
     z = np.asarray(z, dtype=float)
     lo, hi = _polar_box(spec, z)
     n = cfg.resolution if cfg.resolution is not None else _ORACLE_RES[d]
-    P = _polytope_support(spec)
+    P = funcmodel.polytope_support(spec)
     if P is not None:
         return _polytope_oracle(P.points - z, s, lo[:-1], hi[:-1], n)
     value, err = richardson_box(lambda Y: transforms.s_polar_batch(spec, s, Y, z), lo, hi, n)

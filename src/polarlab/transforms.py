@@ -116,9 +116,13 @@ def _s_polar_radial(ri: funcmodel.RadialInfo, s, Y, c0):
     R = ri.radius
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if ri.profile is None:
-            v = np.exp(_golden_min(
-                lambda rho: s * np.log(A[:, None] - rho * q[:, None]) - np.log(ri.f_rad(rho)),
-                np.zeros(len(Y)), R))
+            # rows where the numerator hits 0 inside the support need no search
+            live = A > q * R
+            Al, ql = A[live, None], q[live, None]
+            v = np.zeros(len(Y))
+            v[live] = np.exp(_golden_min(
+                lambda rho: s * np.log(Al - rho * ql) - np.log(ri.f_rad(rho)),
+                np.zeros(len(Al)), R))
         else:
             k, m, r = ri.profile
             if k == 2:

@@ -145,6 +145,33 @@ class TestExitCodes:
         assert isinstance(r.exception, SystemExit)
         assert "Traceback" not in r.output
 
+    @pytest.mark.parametrize("d,family,path", [
+        (2, {"kind": "grid_profile", "origin": [0.0, 0.0], "spacing": 1.0,
+             "values": [[0, 1, 0], [1, 1]]}, "/family/values"),
+        (1, {"kind": "grid_profile", "origin": [0.0], "spacing": 1.0,
+             "values": ["a", 1, 1]}, "/family/values"),
+        (2, {"kind": "polytope_indicator", "vertices": [[0, 0], [1, 0], [0]]},
+         "/family/vertices"),
+        (1, {"kind": "ball_indicator", "center": [0.0], "radius": 10**400},
+         "/family/radius"),
+    ])
+    def test_malformed_array_or_number_is_2(self, runner, tmp_path, d, family, path):
+        # schema-valid JSON that no float array or number holds
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"dimension": d, "class": {"s": 1}, "family": family}))
+        r = runner.invoke(cli.main, ["eval", "--spec", str(p), "--z", ",".join(["0"] * d)])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert [v["path"] for v in json.loads(r.stderr)["violations"]] == [path]
+
+    def test_dimension_above_3_is_2(self, runner, tmp_path):
+        p = tmp_path / "d4.json"
+        p.write_text(json.dumps({"dimension": 4, "class": {"s": 2},
+                                 "family": {"kind": "hhat_power", "s_exponent": 2}}))
+        r = runner.invoke(cli.main, ["integrate", "--spec", str(p)])
+        assert r.exit_code == 2
+        assert [v["path"] for v in json.loads(r.stderr)["violations"]] == ["/dimension"]
+
     def test_phi_outside_support_is_1(self, runner, specs):
         r = runner.invoke(cli.main, ["phi", "--spec", specs["box1"],
                                      "--s", "1", "--z", "1.5"])

@@ -65,6 +65,19 @@ class TestValidation:
         with pytest.raises(InputError):
             fm.FunctionSpec(0, fm.SConcave(1.0), fm.HhatPower(1.0))
 
+    def test_dimension_above_3(self):
+        # the per-dimension tables (sphere areas, grid resolutions) stop at 3
+        with pytest.raises(InputError):
+            fm.FunctionSpec(4, fm.SConcave(2.0), fm.HhatPower(2.0))
+
+    @pytest.mark.parametrize("family", [
+        fm.PolytopeIndicator(((0.0, 0.0), (1.0, 0.0), (0.0,))),  # ragged
+        fm.BallIndicator((10**400, 0.0), 1.0),  # past the float range
+    ])
+    def test_malformed_numbers(self, family):
+        with pytest.raises(InputError):
+            fm.FunctionSpec(2, fm.SConcave(1.0), family)
+
     def test_bad_s(self):
         with pytest.raises(InputError):
             fm.FunctionSpec(1, fm.SConcave(-1.0), fm.HhatPower(1.0))
