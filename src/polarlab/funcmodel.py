@@ -1,8 +1,12 @@
 """Declarative test functions: 1/s-concave and log-concave families.
 
 A FunctionSpec pairs a concavity class (SConcave(s) or LogConcave) with a
-family description (analytic or grid-based).  All operations here are pure;
-specs are frozen after construction and safe to share between threads.
+family description (analytic or grid-based).  All operations here are pure.
+A spec's fields are frozen after construction; what is derived from them
+(support, radial form, and through `FunctionSpec.memo` the data that also
+depends on s or a resolution) is computed on first use and kept on the spec.
+If two threads use a spec for the first time at once, such data may be built
+twice, with the same value.
 
 Grid-based functions interpolate the *concavity profile* (f^(1/s) for the
 s-concave class, log f for the log-concave class) on a Kuhn simplicial
@@ -437,6 +441,15 @@ class FunctionSpec:
         if ri is not None:
             return _Ball(ri.center, ri.truncated_radius(EPS_TAIL))
         return self.family.support(self)
+
+    def memo(self, key: tuple, build):
+        """build(), computed once per spec and key.  It is kept in the spec's
+        __dict__ beside the cached properties, so it lives as long as the
+        spec; keys are tuples, so they never meet an attribute name."""
+        cache = self.__dict__
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
 
 def unshift(spec: FunctionSpec):

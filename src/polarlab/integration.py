@@ -37,8 +37,9 @@ class IntegrationConfig:
         if self.resolution is not None and self.resolution < 16:
             raise InputError("resolution must be >= 16")
 
-    def axis_cells(self, d: int) -> int:
-        return self.resolution if self.resolution is not None else _DEFAULT_RES[d]
+    def axis_cells(self, d: int, default=_DEFAULT_RES) -> int:
+        """The resolution, or default[d] when it is None."""
+        return self.resolution if self.resolution is not None else default[d]
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,8 @@ log-concave analogue Phi_inf.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -152,16 +151,10 @@ class SphereQuadrature:
                                       2 * self.n_vertical, 2 * self.n_horizontal)
 
 
-_QUAD_CACHE: dict = {}
-
-
+@cache
 def default_quadrature(d: int, s: float) -> SphereQuadrature:
-    key = (d, float(s))
-    q = _QUAD_CACHE.get(key)
-    if q is None:
-        q = SphereQuadrature.build(d, s)
-        _QUAD_CACHE[key] = q
-    return q
+    """The default rule for (d, s), built once: s = 1 and s = 1.0 share it."""
+    return SphereQuadrature.build(d, float(s))
 
 
 @dataclass(frozen=True)
@@ -186,20 +179,11 @@ class PolarIntegral:
         }
 
 
-# cached support values of K-hat_s(f) at quadrature nodes, keyed per spec
-_SUPPORT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def node_support(spec: funcmodel.FunctionSpec, s: float,
                  quad: SphereQuadrature) -> np.ndarray:
-    per_spec = _SUPPORT_CACHE.setdefault(spec, {})
-    key = (float(s), quad)
-    h0 = per_spec.get(key)
-    if h0 is None:
-        body = lifting.LiftedBody(spec, s)
-        h0 = body.support_batch(quad.nodes)
-        per_spec[key] = h0
-    return h0
+    """Support values of K-hat_s(f) at the nodes of quad, kept on the spec."""
+    return spec.memo(("node_support", float(s), quad),
+                     lambda: lifting.LiftedBody(spec, s).support_batch(quad.nodes))
 
 
 def _ball_phi(ball, s: float, z) -> Tuple[float, np.ndarray]:
@@ -330,7 +314,7 @@ def phi_oracle(spec: funcmodel.FunctionSpec, s: float, z,
     d = spec.dimension
     z = np.asarray(z, dtype=float)
     lo, hi = _polar_box(spec, z)
-    n = cfg.resolution if cfg.resolution is not None else _ORACLE_RES[d]
+    n = cfg.axis_cells(d, _ORACLE_RES)
     P = funcmodel.polytope_support(spec)
     if P is not None:
         return _polytope_oracle(P.points - z, s, lo[:-1], hi[:-1], n)
@@ -412,7 +396,7 @@ def polar_moment(spec: funcmodel.FunctionSpec, s: float, z,
     d = spec.dimension
     z = np.asarray(z, dtype=float)
     lo, hi = _polar_box(spec, z)
-    n = cfg.resolution if cfg.resolution is not None else _ORACLE_RES[d]
+    n = cfg.axis_cells(d, _ORACLE_RES)
     mass = 0.0
     mom = np.zeros(d)
     for Y, cell in _midpoint_chunks(lo, hi, 2 * n):
@@ -426,20 +410,16 @@ def polar_moment(spec: funcmodel.FunctionSpec, s: float, z,
 # log-concave analogue
 
 
-_LOG_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def _log_polar_nodes(spec: funcmodel.FunctionSpec,
                      cfg: Optional[IntegrationConfig] = None):
-    """(nodes Y, cell-weighted values of L_inf f at Y), cached per spec and
+    """(nodes Y, cell-weighted values of L_inf f at Y), kept on the spec per
     grid resolution."""
-    cfg = cfg or IntegrationConfig()
+    n = (cfg or IntegrationConfig()).axis_cells(spec.dimension, _LOG_GRID_RES)
+    return spec.memo(("log_polar_nodes", n), lambda: _build_log_polar_nodes(spec, n))
+
+
+def _build_log_polar_nodes(spec: funcmodel.FunctionSpec, n: int):
     d = spec.dimension
-    n = cfg.resolution if cfg.resolution is not None else _LOG_GRID_RES[d]
-    per_spec = _LOG_CACHE.setdefault(spec, {})
-    cached = per_spec.get(n)
-    if cached is not None:
-        return cached
     peak = 1.0 / funcmodel.sup_value(spec)
     radius = 1.0
     for _ in range(40):
@@ -458,10 +438,7 @@ def _log_polar_nodes(spec: funcmodel.FunctionSpec,
     Y = np.stack([m.ravel() for m in mesh], axis=1)
     g = transforms.log_polar_grid(spec, axes)
     keep = g > funcmodel.EPS_TAIL * peak * 1e-3
-    Y = Y[keep]
-    gw = g[keep] * h**d
-    per_spec[n] = (Y, gw)
-    return Y, gw
+    return Y[keep], g[keep] * h**d
 
 
 def phi_log(spec: funcmodel.FunctionSpec, z,

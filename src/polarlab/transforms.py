@@ -262,17 +262,11 @@ def legendre_evaluator(spec: funcmodel.FunctionSpec) -> LegendreEvaluator:
     return LegendreEvaluator(psi, np.asarray(lo), np.asarray(hi), n)
 
 
-_LEGENDRE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def _cached_evaluator(spec) -> LegendreEvaluator:
-    ev = _LEGENDRE_CACHE.get(spec)
-    if ev is None:
-        # psi reads the spec through a weak proxy: a strong reference held by
-        # the cached value would keep its own key alive
-        ev = legendre_evaluator(weakref.proxy(spec))
-        _LEGENDRE_CACHE[spec] = ev
-    return ev
+    # psi reads the spec through a weak proxy: a strong reference would make
+    # the spec and its evaluator a reference cycle, which only the cyclic
+    # collector frees, and log-concave work builds a new spec for every op
+    return spec.memo(("legendre",), lambda: legendre_evaluator(weakref.proxy(spec)))
 
 
 def log_polar(spec: funcmodel.FunctionSpec, y, center=None,

@@ -6,7 +6,7 @@ from scipy import integrate, special
 
 from polarlab import funcmodel as fm
 from polarlab import polar_integrals as pint
-from polarlab import santalo, transforms
+from polarlab import lifting, santalo, transforms
 from polarlab.errors import DomainError
 
 
@@ -49,7 +49,19 @@ class TestQuadrature:
         spec = hhat_spec(2, 2.0)
         for _ in range(3):
             pint.phi_sphere(spec, 2.0, np.array([0.1, -0.2]), error_estimate=True)
-        assert len(pint._SUPPORT_CACHE[spec]) <= 2
+        memo = [k for k in vars(spec) if isinstance(k, tuple) and k[0] == "node_support"]
+        assert len(memo) <= 2
+
+    def test_node_support_keys_on_s(self):
+        # one spec and one rule at two s: each value is that s's own support
+        spec = hhat_spec(2, 2.0)
+        quad = pint.default_quadrature(2, 1.5)
+        h1 = pint.node_support(spec, 1.5, quad)
+        h2 = pint.node_support(spec, 3.0, quad)
+        assert not np.array_equal(h1, h2)
+        for s, h in ((1.5, h1), (3.0, h2)):
+            np.testing.assert_array_equal(
+                h, lifting.LiftedBody(spec, s).support_batch(quad.nodes))
 
     def test_node_support_per_quadrature(self):
         # quadratures built and dropped in turn may share an id()

@@ -1,5 +1,6 @@
 """Schema fuzz: random spec documents over every family, nested up to two
-wrappers deep, through the JSON codec and the `eval` command."""
+wrappers deep, through the JSON codec and the `eval`, `integrate` and `polar`
+commands."""
 
 import json
 
@@ -121,3 +122,9 @@ def test_schema_fuzz(doc, point, tmp_path_factory):
     else:
         assert r.exit_code == 0, r.output
         assert json.loads(r.stdout)["value"] == fm.evaluate(spec, z)
+        s = "inf" if spec.is_log_concave else repr(spec.class_s)
+        for args in (["integrate", "--grid", "16"],
+                     ["polar", "--s", s, "--z", ",".join(map(repr, z))]):
+            r = CliRunner().invoke(cli.main, args + ["--spec", str(path)])
+            assert r.exception is None or isinstance(r.exception, SystemExit), (args, r.output)
+            assert r.exit_code in (0, 1, 2), (args, r.output)
