@@ -4,9 +4,13 @@ A FunctionSpec pairs a concavity class (SConcave(s) or LogConcave) with a
 family description (analytic or grid-based).  All operations here are pure.
 A spec's fields are frozen after construction; what is derived from them
 (support, radial form, and through `FunctionSpec.memo` the data that also
-depends on s or a resolution) is computed on first use and kept on the spec.
-If two threads use a spec for the first time at once, such data may be built
-twice, with the same value.
+depends on s or a configuration) is computed on first use and kept on the
+spec.  If two threads use a spec for the first time at once, such data may be
+built twice, with the same value.
+
+A parsed spec may be shared: `spec_from_json` returns the same spec for the
+same text (for the 16 most recently parsed documents), with all that is kept
+on it.  So grid values and every memoized array are read-only.
 
 Grid-based functions interpolate the *concavity profile* (f^(1/s) for the
 s-concave class, log f for the log-concave class) on a Kuhn simplicial
@@ -18,8 +22,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cached_property, lru_cache
 from typing import ClassVar, Optional, Union
 
 import numpy as np
@@ -223,6 +227,15 @@ class GridProfile(Family):
     values: np.ndarray = field(repr=False)
     kind = "grid_profile"
     schema = {"origin": _VECTOR, "spacing": _POSITIVE, "values": {"type": "array"}}
+
+    def __post_init__(self):
+        # a read-only copy: no write to the caller's array, or through a
+        # shared spec, can change f; validate reports values that are no array
+        try:
+            values = np.array(self.values, dtype=float)
+        except (ValueError, TypeError, OverflowError):
+            return
+        object.__setattr__(self, "values", _readonly(values))
 
     def validate(self, spec):
         d = spec.dimension
@@ -448,8 +461,23 @@ class FunctionSpec:
         spec; keys are tuples, so they never meet an attribute name."""
         cache = self.__dict__
         if key not in cache:
-            cache[key] = build()
+            cache[key] = _readonly(build())
         return cache[key]
+
+
+def _readonly(value):
+    """value, with every array in it (also in a tuple or a dataclass field)
+    made read-only: what is kept on a spec is shared by all its callers, so an
+    in-place write raises instead of changing their results."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for v in value:
+            _readonly(v)
+    elif is_dataclass(value) and not isinstance(value, type):
+        for f in fields(value):
+            _readonly(getattr(value, f.name))
+    return value
 
 
 def unshift(spec: FunctionSpec):
@@ -466,7 +494,7 @@ def _vec(v, d, what):
     a = _array(v, what)
     if a.shape != (d,):
         raise InputError(f"{what}: expected a vector of length {d}, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not all(map(math.isfinite, a.tolist())):  # cheaper than numpy at length d
         raise InputError(f"{what}: entries must be finite")
     return a
 
@@ -683,7 +711,8 @@ class _Ball:
 
     def margin(self, x: np.ndarray) -> float:
         """Positive inside, zero on the boundary, negative outside."""
-        return self.radius - float(np.linalg.norm(x - self.center))
+        w = x - self.center
+        return self.radius - math.sqrt(float(w.dot(w)))  # np.linalg.norm, cheaper
 
     def ray_extent(self, z: np.ndarray, u: np.ndarray) -> float:
         c = z - self.center
@@ -934,10 +963,15 @@ SPEC_SCHEMA = {
     },
 }
 
+@lru_cache(maxsize=16)
 def spec_from_json(text: str) -> FunctionSpec:
     """Parse and validate a FunctionSpec JSON document.
 
-    Raises InputError carrying a list of {path, message} violations.
+    Raises InputError carrying a list of {path, message} violations.  The 16
+    most recently parsed texts are kept: the same text gives the same spec,
+    with all that is memoized on it; any other text, also the same document
+    with other key order or spacing, is parsed afresh.  A document that
+    raises is not kept.
     """
     try:
         doc = json.loads(text)

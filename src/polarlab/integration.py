@@ -103,7 +103,7 @@ def radial_integral(g: Callable[[np.ndarray], np.ndarray], R: float,
 
 def integrate_grid(spec: funcmodel.FunctionSpec,
                    cfg: Optional[IntegrationConfig] = None) -> Tuple[float, float]:
-    """Integral of f with an error estimate.
+    """Integral of f with an error estimate, kept on the spec per config.
 
     Rotationally symmetric specs take a one-dimensional radial quadrature;
     polytope indicators (also shifted) use the exact hull volume; everything
@@ -111,6 +111,10 @@ def integrate_grid(spec: funcmodel.FunctionSpec,
     extrapolation.
     """
     cfg = cfg or IntegrationConfig()
+    return spec.memo(("integrate_grid", cfg), lambda: _integrate_grid(spec, cfg))
+
+
+def _integrate_grid(spec: funcmodel.FunctionSpec, cfg: IntegrationConfig):
     d = spec.dimension
     ri = spec.radial
     if ri is not None:
@@ -132,12 +136,17 @@ def integrate_grid(spec: funcmodel.FunctionSpec,
 
 def moment_grid(spec: funcmodel.FunctionSpec,
                 cfg: Optional[IntegrationConfig] = None):
-    """(mass, first moment vector, error estimate) of f.
+    """(mass, first moment vector, error estimate) of f, kept on the spec per
+    config.
 
     Radial specs and polytope indicators (also shifted) are exact; everything
     else takes the tensor midpoint rule.
     """
     cfg = cfg or IntegrationConfig()
+    return spec.memo(("moment_grid", cfg), lambda: _moment_grid(spec, cfg))
+
+
+def _moment_grid(spec: funcmodel.FunctionSpec, cfg: IntegrationConfig):
     d = spec.dimension
     ri = spec.radial
     if ri is not None:

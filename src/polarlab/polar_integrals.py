@@ -186,27 +186,27 @@ def node_support(spec: funcmodel.FunctionSpec, s: float,
                      lambda: lifting.LiftedBody(spec, s).support_batch(quad.nodes))
 
 
-def _ball_phi(ball, s: float, z) -> Tuple[float, np.ndarray]:
-    """Phi(z) and its gradient for the indicator of B(c, R): with w = z - c,
-    (B - z)° is an ellipsoid of volume kappa_d R (R^2 - |w|^2)^{-(d+1)/2}
-    (kappa_d the volume of the unit ball), and the gradient of Phi is
-    (d + 1) Phi w / (R^2 - |w|^2)."""
+def _ball_phi(ball, s: float, z, grad: bool) -> Tuple[float, Optional[np.ndarray]]:
+    """Phi(z) and, when grad, its gradient for the indicator of B(c, R):
+    with w = z - c, (B - z)° is an ellipsoid of volume kappa_d R
+    (R^2 - |w|^2)^{-(d+1)/2} (kappa_d the volume of the unit ball), and the
+    gradient of Phi is (d + 1) Phi w / (R^2 - |w|^2)."""
     w = np.asarray(z, dtype=float) - ball.center
     d = len(w)
     R = ball.radius
-    r = float(np.linalg.norm(w))
+    r = math.sqrt(float(w.dot(w)))  # np.linalg.norm, cheaper
     if r >= R:
         raise DomainError("center is not interior to the support")
     gap = (R - r) * (R + r)
     log_pref = math.lgamma(d + 1.0) + math.lgamma(s + 1.0) - math.lgamma(d + s + 1.0)
     value = math.exp(log_pref) * SPHERE_SURFACE[d] / d * R * gap ** (-0.5 * (d + 1))
-    return value, (d + 1) * value / gap * w
+    return value, (d + 1) * value / gap * w if grad else None
 
 
-def _polytope_phi(poly, s: float, z) -> Tuple[float, np.ndarray]:
-    """Phi(z) and its gradient for a polytope indicator, in closed form, from
-    its `polar_cells` (A, b, T, |det A_S|): vol((P - z)°) = sum over S in T
-    of |det A_S| / (d! prod c_S), c = b - A z.
+def _polytope_phi(poly, s: float, z, grad: bool) -> Tuple[float, Optional[np.ndarray]]:
+    """Phi(z) and, when grad, its gradient for a polytope indicator, in
+    closed form, from its `polar_cells` (A, b, T, |det A_S|): vol((P - z)°)
+    = sum over S in T of |det A_S| / (d! prod c_S), c = b - A z.
     """
     A, b, tri, det = poly
     c = b - A @ np.asarray(z, dtype=float)
@@ -215,9 +215,12 @@ def _polytope_phi(poly, s: float, z) -> Tuple[float, np.ndarray]:
     d = A.shape[1]
     pref = math.exp(math.lgamma(s + 1.0) - math.lgamma(d + s + 1.0))
     term = pref * det / np.prod(c[tri], axis=1)
+    value = float(term.sum())
+    if not grad:
+        return value, None
     # d/dz of 1/c_i is a_i / c_i^2
     per_facet = np.bincount(tri.ravel(), np.repeat(term, d), len(A))
-    return float(term.sum()), A.T @ (per_facet / c)
+    return value, A.T @ (per_facet / c)
 
 
 def _sphere_functional(spec: funcmodel.FunctionSpec, s: float, w,
@@ -244,9 +247,9 @@ def _sphere_functional(spec: funcmodel.FunctionSpec, s: float, w,
         w = w[:d]
     if len(w) == d and funcmodel.is_indicator(spec):
         P = funcmodel.polytope_support(spec)
-        value, gradient = (_ball_phi(spec.support, s, w) if P is None
-                           else _polytope_phi(P.polar_cells, s, w))
-        return value, gradient if grad else None, "exact", None
+        value, gradient = (_ball_phi(spec.support, s, w, grad) if P is None
+                           else _polytope_phi(P.polar_cells, s, w, grad))
+        return value, gradient, "exact", None
     quad = quad or default_quadrature(d, s)
     U = quad.nodes[:, :len(w)]
     h = node_support(spec, s, quad) - U @ w

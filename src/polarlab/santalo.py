@@ -114,8 +114,13 @@ def santalo_point(spec: funcmodel.FunctionSpec, s,
                   cfg: Optional[integration.IntegrationConfig] = None,
                   compute_moment: bool = True) -> SantaloResult:
     """Minimizer of z -> int L_s(shift(f, z)) (s may be math.inf), started at
-    the barycentre of f."""
+    the barycentre of f; kept on the spec per s, config and compute_moment."""
     cfg = cfg or integration.IntegrationConfig()
+    return spec.memo(("santalo_point", float(s), cfg, compute_moment),
+                     lambda: _santalo_point(spec, s, cfg, compute_moment))
+
+
+def _santalo_point(spec, s, cfg, compute_moment) -> SantaloResult:
     d = spec.dimension
     z0 = funcmodel.barycenter(spec, cfg).vector
 

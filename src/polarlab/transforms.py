@@ -232,7 +232,8 @@ def legendre(ev: LegendreEvaluator, y, refine: bool = True) -> LegendreValue:
         if np.isfinite(res.fun):
             best = max(best, -float(res.fun))
             x0 = res.x
-    # infinite tag: maximizer pinned to the box with outward ascent
+    # infinite tag: maximizer pinned to the box with outward ascent, where psi
+    # is finite just outside the box (else the box holds the whole domain)
     width = np.asarray(ev.upper) - np.asarray(ev.lower)
     on_edge = (x0 - ev.lower < 1e-6 * width) | (ev.upper - x0 < 1e-6 * width)
     if on_edge.any():
@@ -241,7 +242,8 @@ def legendre(ev: LegendreEvaluator, y, refine: bool = True) -> LegendreValue:
                     + np.where(x0 - ev.lower < 1e-6 * width, step, 0.0)
         v_in = ev.psi(inward[None, :])[0]
         inner = float(np.dot(inward, y)) - v_in if np.isfinite(v_in) else -np.inf
-        if best > inner + 1e-12 * max(1.0, abs(best)):
+        if (best > inner + 1e-12 * max(1.0, abs(best))
+                and np.isfinite(ev.psi((2.0 * x0 - inward)[None, :])[0])):
             return LegendreValue(best, True)
     return LegendreValue(best, False)
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from polarlab import funcmodel as fm
-from polarlab import transforms
+from polarlab import integration, santalo, transforms
+from polarlab import polar_integrals as pint
 from polarlab.errors import InputError, NumericError
 
 
@@ -73,10 +74,18 @@ class TestValidation:
     @pytest.mark.parametrize("family", [
         fm.PolytopeIndicator(((0.0, 0.0), (1.0, 0.0), (0.0,))),  # ragged
         fm.BallIndicator((10**400, 0.0), 1.0),  # past the float range
+        fm.BallIndicator((math.inf, 0.0), 1.0),
+        fm.BallIndicator((0.0, math.nan), 1.0),
     ])
     def test_malformed_numbers(self, family):
         with pytest.raises(InputError):
             fm.FunctionSpec(2, fm.SConcave(1.0), family)
+
+    @pytest.mark.parametrize("x", [(math.nan, 0.0), (0.0, -math.inf), (0.0,)])
+    def test_malformed_point(self, x):
+        spec = fm.FunctionSpec(2, fm.SConcave(1.0), fm.BallIndicator((0.0, 0.0), 1.0))
+        with pytest.raises(InputError):
+            fm.conv_support_contains(spec, x)
 
     def test_bad_s(self):
         with pytest.raises(InputError):
@@ -258,3 +267,58 @@ class TestJson:
     def test_invalid_json(self):
         with pytest.raises(InputError):
             fm.spec_from_json("{not json")
+
+
+class TestSharedSpecs:
+    """spec_from_json interns documents by their exact text; what a shared
+    spec holds cannot be written in place."""
+
+    DOC = {"dimension": 2, "class": {"s": 2.0},
+           "family": {"kind": "hhat_power", "s_exponent": 2.0}}
+
+    def test_same_text_same_spec(self):
+        text = json.dumps(self.DOC)
+        assert fm.spec_from_json(text) is fm.spec_from_json(text)
+
+    def test_reordered_keys_parse_afresh(self):
+        a = fm.spec_from_json(json.dumps(self.DOC))
+        b = fm.spec_from_json(json.dumps(dict(reversed(self.DOC.items()))))
+        assert a is not b
+        assert fm.spec_to_json(a) == fm.spec_to_json(b)
+        X = np.random.default_rng(2).uniform(-1.0, 1.0, size=(20, 2))
+        np.testing.assert_array_equal(fm.evaluate_batch(a, X), fm.evaluate_batch(b, X))
+
+    def test_bad_document_is_not_kept(self):
+        text = json.dumps(dict(self.DOC, dimension=4))
+        for _ in range(2):
+            with pytest.raises(InputError):
+                fm.spec_from_json(text)
+
+    def test_table_is_bounded(self):
+        def doc(k):
+            return json.dumps(dict(self.DOC, family={"kind": "hhat_power",
+                                                     "s_exponent": 1.0 + k}))
+
+        first = fm.spec_from_json(doc(0))
+        for k in range(1, 18):
+            fm.spec_from_json(doc(k))
+        assert fm.spec_from_json.cache_info().currsize <= 16
+        assert fm.spec_from_json(doc(0)) is not first
+
+    def test_shared_arrays_are_read_only(self):
+        vals = np.array(_grid(2, fm.SConcave(2.0), (-1.0, -1.0)).family.values)
+        direct = fm.FunctionSpec(2, fm.SConcave(2.0), fm.GridProfile((-1.0, -1.0), 0.25, vals))
+        spec = fm.spec_from_json(fm.spec_to_json(direct))
+        quad = pint.default_quadrature(2, 2.0)
+        arrays = {
+            "grid values": spec.family.values,
+            "node_support": pint.node_support(spec, 2.0, quad),
+            "z_star": santalo.santalo_point(spec, 2.0, compute_moment=False).z_star,
+            "moment": integration.moment_grid(spec, integration.IntegrationConfig(32))[1],
+        }
+        for a in arrays.values():
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1.0
+        # the spec keeps a copy of the caller's grid
+        vals[4, 4] = 0.5
+        assert fm.evaluate(direct, [0.0, 0.0]) == 1.0

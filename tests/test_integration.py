@@ -26,6 +26,31 @@ class TestConfigs:
         assert cfg.axis_cells(1) > cfg.axis_cells(3)
 
 
+class TestMemoKeys:
+    """integrate_grid and moment_grid keep their results on the spec, keyed
+    by the whole config: no call returns a value computed at another
+    resolution."""
+
+    @staticmethod
+    def grid():
+        x = np.linspace(-1.0, 1.0, 9)
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        vals = np.maximum(0.0, 1.0 - (X - 0.3) ** 2 - 2.0 * Y**2)
+        return fm.FunctionSpec(2, fm.SConcave(1.0), fm.GridProfile((-1.0, -1.0), 0.25, vals))
+
+    def test_resolution_is_part_of_the_key(self):
+        parsed = fm.spec_from_json(fm.spec_to_json(self.grid()))
+        got = {}
+        for n in (32, 64):
+            cfg = integration.IntegrationConfig(resolution=n)
+            got[n] = (integration.integrate_grid(parsed, cfg)[0],
+                      fm.barycenter(parsed, cfg).vector)
+            assert got[n][0] == integration.integrate_grid(self.grid(), cfg)[0]
+            np.testing.assert_array_equal(got[n][1], fm.barycenter(self.grid(), cfg).vector)
+        assert got[32][0] != got[64][0]
+        assert not np.array_equal(got[32][1], got[64][1])
+
+
 class TestBoxRules:
     def test_midpoint_polynomial(self):
         val = integration.midpoint_box(

@@ -44,6 +44,22 @@ class TestSantaloPoint:
         res = santalo.santalo_point(hhat_spec(2, 1.0), 1.0)
         assert res.polar_barycenter_norm <= 1e-4
 
+    def test_compute_moment_is_part_of_the_key(self):
+        # the polar moment and the gradient diagnostic are kept apart
+        def triangle():
+            return fm.FunctionSpec(2, fm.SConcave(1.0), fm.PolytopeIndicator(
+                ((0.0, 0.0), (2.0, 0.0), (0.0, 1.0))))
+
+        spec = fm.spec_from_json(fm.spec_to_json(triangle()))
+        norms = {}
+        for flag in (True, False):
+            res = santalo.santalo_point(spec, 1.0, compute_moment=flag)
+            fresh = santalo.santalo_point(triangle(), 1.0, compute_moment=flag)
+            assert res.polar_barycenter_norm == fresh.polar_barycenter_norm
+            np.testing.assert_array_equal(res.z_star, fresh.z_star)
+            norms[flag] = res.polar_barycenter_norm
+        assert norms[True] != norms[False]
+
     def test_log_concave_gaussian(self):
         g = fm.FunctionSpec(1, fm.LogConcave(), fm.Gaussian((0.7,), 1.0))
         res = santalo.santalo_point(g, math.inf)

@@ -363,8 +363,6 @@ class TestLogPolar:
         finally:
             gc.enable()
 
-    @pytest.mark.xfail(strict=True, reason="the edge tag reads a maximizer on the boundary "
-                       "of a bounded support as an unbounded conjugate")
     def test_indicator_maximizer_on_box_edge(self):
         # L_inf of the indicator of K is exp(-h_K(y)); for an interval or a
         # square the maximizer is a vertex, on the edge of the search box
