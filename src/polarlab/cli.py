@@ -273,7 +273,8 @@ def santalo_point_cmd(spec_path, s_text, hyp_text, lam, grid, out, fmt):
 @fmt_opt
 @_dispatch
 def region_cmd(spec_path, s_text, t, rays, z_text, grid, out, fmt):
-    """Santalo region boundary by radial bisection, or point membership."""
+    """Santalo region boundary by a bracketed root solve along each ray, or
+    point membership."""
     spec = _load_spec(spec_path)
     s = _parse_s(s_text)
     q = regions.make_query(spec, s, t, _grid_cfg(grid))
@@ -294,6 +295,7 @@ def region_cmd(spec_path, s_text, t, rays, z_text, grid, out, fmt):
         "rays": b.rays,
         "radii": b.radii,
         "tolerance": b.tolerance,
+        "evaluations": b.evaluations,
     }, out, fmt)
 
 

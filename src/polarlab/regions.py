@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,18 +66,24 @@ def _product_at(q: RegionQuery, x: np.ndarray) -> float:
     return q.base_integral * pint.phi_sphere(q.spec, q.s, x).value
 
 
-def region_membership(q: RegionQuery, x) -> bool:
-    """True iff int f * Phi(x) <= threshold; points outside co supp f or at
-    which Phi diverges are nonmembers."""
-    x = np.asarray(x, dtype=float)
+def _membership(q: RegionQuery, x: np.ndarray) -> Tuple[bool, Optional[float]]:
+    """(member, product): whether int f * Phi(x) <= threshold, and that
+    product; None where x lies outside co supp f and Phi was not evaluated,
+    inf where Phi diverges.  Both of those are nonmembers."""
     if not funcmodel.conv_support_contains(q.spec, x, tol=1e-12):
-        return False
+        return False, None
     try:
         prod = _product_at(q, x)
     except (DomainError, NumericError):
-        # divergence at or beyond the support boundary: nonmember
-        return False
-    return prod <= q.threshold * (1.0 + TIE_TOL)
+        # divergence at or beyond the support boundary
+        return False, INF
+    return prod <= q.threshold * (1.0 + TIE_TOL), prod
+
+
+def region_membership(q: RegionQuery, x) -> bool:
+    """True iff int f * Phi(x) <= threshold; points outside co supp f or at
+    which Phi diverges are nonmembers."""
+    return _membership(q, np.asarray(x, dtype=float))[0]
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,7 @@ class RegionBoundary:
     radii: np.ndarray  # (n,)
     tolerance: float
     empty: bool = False
+    evaluations: int = 0  # products int f * Phi(z) taken, the centre's included
 
     def points(self) -> np.ndarray:
         return self.center[None, :] + self.radii[:, None] * self.rays
@@ -111,41 +118,120 @@ def _santalo_centre(q: RegionQuery) -> np.ndarray:
     return res.z_star
 
 
+class _Ray:
+    """Evaluated probes of the ray center + r u, kept as a bracket: lo the
+    farthest member and hi the nearest nonmember, each with g, the
+    concave transform of its product (None where Phi diverged or was not
+    evaluated).  `below` is the member lo replaced and `beyond` the next
+    nonmember past hi with a g value, as (r, g)."""
+
+    def __init__(self, q: RegionQuery, center, u, g, g_center: float):
+        self.q, self.center, self.u, self.g = q, center, u, g
+        self.lo, self.g_lo = 0.0, g_center
+        self.hi, self.g_hi = INF, None
+        self.below = self.beyond = None
+        self.evaluations = 0
+
+    def probe(self, r: float) -> bool:
+        member, prod = _membership(self.q, self.center + r * self.u)
+        self.evaluations += prod is not None
+        g = self.g(prod) if prod is not None and prod < INF else None
+        if member:
+            if r > self.lo:
+                self.below = (self.lo, self.g_lo)
+                self.lo, self.g_lo = r, g
+        elif r < self.hi:
+            if self.g_hi is not None:
+                self.beyond = (self.hi, self.g_hi)
+            self.hi, self.g_hi = r, g
+        elif r > self.hi and g is not None and (self.beyond is None or r < self.beyond[0]):
+            self.beyond = (r, g)
+        return member
+
+    def solve(self, level: float, tol: float) -> float:
+        """Close the bracket to tol; returns lo.  Where g is concave its
+        level crossing lies right of the chord through lo and hi, and left
+        of the secants through lo and `below` and through hi and
+        `beyond`."""
+        while self.hi > self.lo + tol:
+            lo, hi = self.lo, self.hi
+            left, right = lo, hi
+            if self.g_hi is not None and self.g_lo > self.g_hi:
+                left = lo + (hi - lo) * (self.g_lo - level) / (self.g_lo - self.g_hi)
+            for a, b in ((self.below, (lo, self.g_lo)), ((hi, self.g_hi), self.beyond)):
+                if a is not None and b is not None and a[1] is not None and b[1] < a[1]:
+                    right = min(right, b[0] + (level - b[1]) * (b[0] - a[0]) / (b[1] - a[1]))
+            probes = {left, right}
+            if right - left > 0.5 * (hi - lo):
+                probes.add(0.5 * (left + right))
+            for r in sorted(probes):
+                if lo < r < hi:
+                    self.probe(r)
+            if self.hi - self.lo > 0.5 * (hi - lo):  # rounding broke the bounds
+                self.probe(0.5 * (self.lo + self.hi))
+        return self.lo
+
+
 def region_boundary(q: RegionQuery, ray_count: int = 64,
                     tol: float = 1e-7) -> RegionBoundary:
-    """Radial description of the region from its Santalo point: bisection
-    along uniformly spread rays to the membership boundary."""
+    """Radial description of the region from its Santalo point c: along
+    uniformly spread rays u, the radius r with c + r u an evaluated member
+    and an evaluated nonmember within tol beyond it (or the support cap,
+    when that is a member).
+
+    Each ray is a bracketed root solve in g(r) = P(r)^{-1/(d+s)}, or
+    g(r) = -log P(r) at s = inf, with P(r) = int f * Phi(c + r u); the
+    boundary is where g crosses its value at the threshold.  g is concave
+    for the computed Phi, not only for the true one: the sphere rule is
+    sum_i w_i l_i(z)^{-(d+s)} with every w_i > 0 and every l_i affine, so
+    Phi^{-1/(d+s)} is a weighted power mean of affine functions with
+    exponent -(d+s) < 1, which is concave; the ball and polytope closed
+    forms are exact, where the paper's concavity holds; and Phi_inf is a
+    positive sum of exponentials of linear functions, which is log-convex.
+    Concavity makes the chord and secant steps of `_Ray.solve` close the
+    bracket in a few evaluations, with a midpoint added whenever they would
+    not halve it; every probe is classified by its evaluated membership,
+    so the contract does not rest on it.  Every ray but the first starts by
+    probing the previous radius r and r + tol, which close the bracket at
+    once where the region is a ball about c.
+    """
     d = q.spec.dimension
     center = _santalo_centre(q)
     p_min = _product_at(q, center)
     rays = _ray_directions(d, ray_count)
     if p_min > q.threshold * (1.0 + TIE_TOL):
-        return RegionBoundary(center, rays, np.zeros(len(rays)), tol, empty=True)
+        return RegionBoundary(center, rays, np.zeros(len(rays)), tol, empty=True,
+                              evaluations=1)
     if p_min >= q.threshold * (1.0 - 1e-6):
-        return RegionBoundary(center, rays, np.zeros(len(rays)), tol)
+        return RegionBoundary(center, rays, np.zeros(len(rays)), tol, evaluations=1)
+    if q.s == INF:
+        def g(p):
+            return -math.log(p)
+    else:
+        def g(p, e=-1.0 / (d + q.s)):
+            return p ** e
+    level = g(q.threshold * (1.0 + TIE_TOL))
+    g_center = g(p_min)
+    evaluations = 1
     radii = np.empty(len(rays))
     for i, u in enumerate(rays):
+        ray = _Ray(q, center, u, g, g_center)
+        if i > 0:
+            ray.probe(radii[i - 1])
+            ray.probe(radii[i - 1] + tol)
         if q.s == INF:
             hi = 1.0
-            while region_membership(q, center + hi * u):
+            while ray.hi == INF and (hi <= ray.lo or ray.probe(hi)):
                 hi *= 2.0
                 if hi > 1e6:
                     raise InputError("region appears unbounded")
+            radii[i] = ray.solve(level, tol)
         else:
-            cap = funcmodel.support_ray_extent(q.spec, center, u)
-            hi = cap * (1.0 - 1e-9)
-            if region_membership(q, center + hi * u):
-                radii[i] = hi
-                continue
-        lo = 0.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if region_membership(q, center + mid * u):
-                lo = mid
-            else:
-                hi = mid
-        radii[i] = lo
-    return RegionBoundary(center, rays, radii, tol)
+            top = funcmodel.support_ray_extent(q.spec, center, u) * (1.0 - 1e-9)
+            member_top = ray.hi >= top and ray.probe(top)
+            radii[i] = top if member_top else ray.solve(level, tol)
+        evaluations += ray.evaluations
+    return RegionBoundary(center, rays, radii, tol, evaluations=evaluations)
 
 
 def region_properties(q: RegionQuery, samples: int = 200, seed: int = 0) -> dict:

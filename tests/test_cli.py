@@ -198,6 +198,19 @@ class TestDeterminism:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_region_report_byte_identical(self, runner, specs, tmp_path):
+        outs = []
+        for i in (0, 1):
+            out = tmp_path / f"region{i}.json"
+            r = runner.invoke(cli.main, ["region", "--spec", specs["hhat2"], "--s", "2",
+                                         "--t", "1.5", "--rays", "2", "--out", str(out)])
+            assert r.exit_code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        rep = json.loads(outs[0])
+        # the centre, then per ray at most the 25 of a bisection to tol
+        assert 1 < rep["evaluations"] <= 1 + 25 * len(rep["radii"])
+
     def test_env_seed_default(self, runner, specs, monkeypatch, tmp_path):
         monkeypatch.setenv("POLARLAB_SEED", "12345")
         a = tmp_path / "a.json"

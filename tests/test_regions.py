@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -65,6 +66,137 @@ class TestBoundary:
         b = regions.region_boundary(q, ray_count=2)
         np.testing.assert_allclose(b.radii, math.sqrt(2.0 * math.log(2.0)),
                                    atol=1e-4)
+
+
+def box_d3_spec():
+    corners = np.stack(np.meshgrid(*([np.array([-1.0, 1.0])] * 3), indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+    verts = corners * np.array([1.0, 0.8, 1.2])
+    return fm.FunctionSpec(3, fm.SConcave(1.0), fm.PolytopeIndicator(tuple(map(tuple, verts))))
+
+
+def grid_d2_spec():
+    x = np.linspace(-1.0, 1.0, 9)
+    grid = np.maximum(0.0, 1.0 - x[:, None] ** 2 - x[None, :] ** 2)
+    return fm.FunctionSpec(2, fm.SConcave(2.0), fm.GridProfile((-1.0, -1.0), 0.25, grid))
+
+
+# (spec, s) of the benchmark's d >= 2 region pool, and a Gaussian at s = inf
+SOLVE_SPECS = {
+    "hhat-d2": lambda: (hhat_spec(2, 2.0), 2.0),
+    "fs-gaussian-d2": lambda: (transforms.s_approx(fm.FunctionSpec(
+        2, fm.LogConcave(), fm.Gaussian((0.0, 0.0), 1.0)), 2.0), 2.0),
+    "box-d3": lambda: (box_d3_spec(), 1.0),
+    "grid-d2": lambda: (grid_d2_spec(), 2.0),
+    "gaussian-d2-inf": lambda: (fm.FunctionSpec(
+        2, fm.LogConcave(), fm.Gaussian((0.1, -0.2), 0.8)), regions.INF),
+}
+
+
+class TestExactBall:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    @pytest.mark.parametrize("t", [1.5, 3.0])
+    def test_radius_closed_form(self, d, s, t):
+        # Phi(z) = d! Gamma(s+1)/Gamma(d+s+1) omega_d R (R^2 - |z - c|^2)^{-(d+1)/2}
+        # for the indicator of B(c, R), so the region is a ball about c
+        R, c = 1.3, (0.4, -0.2, 0.3)[:d]
+        spec = fm.FunctionSpec(d, fm.SConcave(s), fm.BallIndicator(c, R))
+        q = regions.make_query(spec, s, t)
+        b = regions.region_boundary(q, ray_count=16)
+        omega = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+        pref = math.factorial(d) * math.gamma(s + 1) / math.gamma(d + s + 1)
+        vol = omega * R**d
+        # membership admits products up to threshold * (1 + TIE_TOL)
+        thr = q.threshold * (1.0 + regions.TIE_TOL)
+        want = math.sqrt(R**2 - (vol * pref * omega * R / thr) ** (2.0 / (d + 1)))
+        assert b.center == pytest.approx(c, abs=1e-12)
+        assert np.all(b.radii <= want + 1e-12)
+        assert np.all(b.radii >= want - b.tolerance - 1e-12)
+
+
+class TestRaySolve:
+    @pytest.mark.parametrize("name, per_ray", [
+        ("hhat-d2", 8), ("fs-gaussian-d2", 8), ("gaussian-d2-inf", 8),
+        ("grid-d2", 16), ("box-d3", 20)])
+    def test_contract_and_cost(self, name, per_ray, monkeypatch):
+        # a bisection to tol 1e-7 takes 25-26 evaluations a ray on each of these
+        spec, s = SOLVE_SPECS[name]()
+        real = regions._product_at
+        for t in (1.5, 3.0):
+            q = regions.make_query(spec, s, t)
+            calls = []
+
+            def counted(q_, x):
+                calls.append(x)
+                return real(q_, x)
+
+            monkeypatch.setattr(regions, "_product_at", counted)
+            b = regions.region_boundary(q, ray_count=16)
+            monkeypatch.setattr(regions, "_product_at", real)
+            assert not b.empty
+            assert b.evaluations == len(calls)
+            assert len(calls) / len(b.rays) <= per_ray
+            for u, r in zip(b.rays, b.radii):
+                assert regions.region_membership(q, b.center + r * u)
+                cap = (math.inf if s == regions.INF else
+                       fm.support_ray_extent(spec, b.center, u) * (1.0 - 1e-9))
+                if r != cap:
+                    assert not regions.region_membership(q, b.center + (r + b.tolerance) * u)
+
+    @pytest.mark.parametrize("name", ["hhat-d2", "gaussian-d2-inf"])
+    def test_level_tie_terminates(self, name, monkeypatch):
+        # products a rounding step above the membership threshold transform to
+        # g equal to its level, so the chord lands on hi itself; the bracket
+        # must still close, by the midpoint
+        spec, s = SOLVE_SPECS[name]()
+        q = regions.make_query(spec, s, 2.0)
+        center = regions.region_boundary(q, ray_count=2).center
+        top = q.threshold * (1.0 + regions.TIE_TOL)
+        r0 = 0.6
+
+        def product(q_, x):
+            r = float(np.linalg.norm(x - center))
+            return top * (0.5 + 0.5 * r / r0) if r <= r0 else float(np.nextafter(top, np.inf))
+
+        def stalled(signum, frame):
+            raise TimeoutError("the ray solve made no progress")
+
+        monkeypatch.setattr(regions, "_product_at", product)
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.setitimer(signal.ITIMER_REAL, 30.0)
+        try:
+            b = regions.region_boundary(q, ray_count=16)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert np.all(b.radii <= r0)
+        assert np.all(b.radii >= r0 - b.tolerance)
+        assert b.evaluations / len(b.rays) <= 25
+
+
+class TestConcavity:
+    """g = Phi^{-1/(d+s)}, and -log Phi_inf, are concave along rays for the
+    computed functional, which the ray solve's chord and secant bounds use."""
+
+    @pytest.mark.parametrize("name", ["hhat-d2", "fs-gaussian-d2", "grid-d2",
+                                      "gaussian-d2-inf"])
+    def test_second_differences(self, name):
+        spec, s = SOLVE_SPECS[name]()
+        z = santalo.santalo_point(spec, s, compute_moment=False).z_star
+        for th in (0.3, 1.9, 4.0):
+            u = np.array([math.cos(th), math.sin(th)])
+            if s == regions.INF:
+                rs = np.linspace(0.0, 3.0, 41)
+                g = np.array([-math.log(pint.phi_log(spec, z + r * u)) for r in rs])
+            else:
+                cap = fm.support_ray_extent(spec, z, u)
+                rs = np.linspace(0.0, 0.98 * cap, 41)
+                res = [pint.phi_sphere(spec, s, z + r * u) for r in rs]
+                assert {p.method for p in res} == {"sphere"}
+                g = np.array([p.value for p in res]) ** (-1.0 / (2 + s))
+            second = g[:-2] - 2.0 * g[1:-1] + g[2:]
+            assert second.max() <= 1e-12 * np.abs(g).max()
 
 
 class TestUnconvergedCentre:
