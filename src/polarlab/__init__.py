@@ -43,9 +43,8 @@ from .polar_integrals import (
     default_quadrature,
     integrate_grid,
     kappa,
-    phi_gradient,
+    phi,
     phi_log,
-    phi_log_gradient,
     phi_oracle,
     phi_sphere,
 )

@@ -197,27 +197,24 @@ def integrate_cmd(spec_path, grid, out, fmt):
 @s_opt
 @click.option("--z", "z_text", required=True, type=str, help="Center z.")
 @click.option("--oracle", is_flag=True, default=False,
-              help="Use the brute-force grid oracle instead of the spherical formula.")
+              help="Use the brute-force grid oracle (finite s) instead of the sphere rule.")
 @grid_opt
 @out_opt
 @fmt_opt
 @_dispatch
 def phi_cmd(spec_path, s_text, z_text, oracle, grid, out, fmt):
-    """Integral of the polar of the shifted function, Phi(z)."""
+    """Integral of the polar of the shifted function, Phi(z): the spherical
+    formula with its doubled-rule error estimate at finite s, the log-polar
+    grid (no error estimate) at s = inf."""
     spec = _load_spec(spec_path)
     s = _parse_s(s_text)
     z = _parse_vec(z_text)
     if z.shape != (spec.dimension,):
         raise InputError(f"--z must have dimension {spec.dimension}")
-    if s == math.inf:
-        value = pint.phi_log(spec, z, _grid_cfg(grid))
-        _emit({"op": "phi", "s": s, "z": z, "value": value, "method": "log-grid"},
-              out, fmt)
-        return
     if oracle:
         res = pint.phi_oracle(spec, s, z, _grid_cfg(grid))
     else:
-        res = pint.phi_sphere(spec, s, z, error_estimate=True)
+        res = pint.phi(spec, s, z, _grid_cfg(grid), error_estimate=True)
     _emit({"op": "phi", "s": s, "z": z, **res.to_json_dict()}, out, fmt)
 
 
@@ -242,8 +239,6 @@ def santalo_point_cmd(spec_path, s_text, hyp_text, lam, grid, out, fmt):
         if parts.shape != (spec.dimension + 1,):
             raise InputError("--hyperplane needs d normal entries and an offset")
         H = santalo.Hyperplane.of(parts[:-1], float(parts[-1]))
-        if s == math.inf:
-            raise InputError("the hyperplane construction requires finite s")
         rep = santalo.verify_santalo(spec, s, H, cfg)
         if lam is not None and abs(lam - rep["lambda"]) > 1e-6:
             rep["lambda_requested"] = lam

@@ -1,8 +1,7 @@
-"""Integrals of polars: the kappa constant, the spherical support-function
-formula for Phi(z) = int L_s(shift(f, z)) and its gradient as one
-functional of the lifted body (in closed form for polytope and ball
-indicators), the brute-force grid oracle for the same quantity, and the
-log-concave analogue Phi_inf.
+"""Integrals of polars: the kappa constant, `phi` for Phi(z) = int L_s(shift(f, z))
+and its gradient at every s in (0, inf] (the spherical functional of the lifted
+body at finite s, in closed form for polytope and ball indicators, and the
+log-concave analogue Phi_inf at s = inf), and the brute-force grid oracle.
 """
 
 from __future__ import annotations
@@ -34,12 +33,11 @@ __all__ = [
     "IntegrationConfig",
     "MonteCarloConfig",
     "integrate_grid",
+    "phi",
     "phi_sphere",
     "phi_oracle",
-    "phi_gradient",
     "polar_moment",
     "phi_log",
-    "phi_log_gradient",
     "default_quadrature",
 ]
 
@@ -100,8 +98,8 @@ class SphereQuadrature:
               n_horizontal: Optional[int] = None) -> "SphereQuadrature":
         if d not in (1, 2, 3):
             raise InputError("quadrature supports d in {1, 2, 3}")
-        if not s > 0:
-            raise InputError("s must be positive")
+        if not 0 < s < math.inf:
+            raise InputError("the sphere rule requires finite positive s")
         nv0, nh0 = _DEFAULT_NODES[d]
         nv = n_vertical or nv0
         nh = n_horizontal or nh0
@@ -285,20 +283,26 @@ def phi_sphere(spec: funcmodel.FunctionSpec, s: float, z,
     return PolarIntegral(value, method, err_est=err, nodes=nodes)
 
 
-def phi_gradient(spec: funcmodel.FunctionSpec, s: float, z,
-                 cfg: Optional[IntegrationConfig] = None,
-                 with_moment: bool = True) -> PolarIntegral:
-    """Gradient of Phi at z from the spherical formula (`_sphere_functional`),
-    plus the polar moment m(z) = int y L_s(shift(f, z))(y) dy from the grid
-    oracle.
-
-    The two are parallel with positive proportionality constant d+s+1
-    (fitted against finite differences), and vanish together at the
-    minimizer of Phi.
-    """
-    value, grad, method, nodes = _sphere_functional(spec, s, z, grad=True)
-    moment = polar_moment(spec, s, z, cfg)[1] if with_moment else None
-    return PolarIntegral(value, method, gradient=grad, moment=moment, nodes=nodes)
+def phi(spec: funcmodel.FunctionSpec, s: float, z,
+        cfg: Optional[IntegrationConfig] = None, grad: bool = False,
+        error_estimate: bool = False) -> PolarIntegral:
+    """Phi(z) = int L_s(shift(f, z)) for s in (0, inf], and its gradient when
+    grad: `phi_sphere` at finite s (`_sphere_functional`'s gradient with grad,
+    and err_est then None), `phi_log` at s = inf (method "log-grid", err_est None;
+    InputError for a spec that is not log-concave)."""
+    # without grad, values go through the module names phi_log and
+    # phi_sphere, so that a wrapper on them (perfbench's span tracer) sees them
+    if s == math.inf:
+        if grad:
+            value, gradient, nodes = _log_functional(spec, z, cfg, grad=True)
+        else:
+            value, gradient = phi_log(spec, z, cfg), None
+            nodes = len(_log_polar_nodes(spec, cfg)[0])
+        return PolarIntegral(value, "log-grid", gradient=gradient, nodes=nodes)
+    if not grad:
+        return phi_sphere(spec, s, z, error_estimate)
+    value, gradient, method, nodes = _sphere_functional(spec, s, z, grad=True)
+    return PolarIntegral(value, method, gradient=gradient, nodes=nodes)
 
 
 def _polar_box(spec, z):
@@ -313,6 +317,8 @@ def phi_oracle(spec: funcmodel.FunctionSpec, s: float, z,
 
     Polytope indicators integrate L_s exactly along the last axis instead
     (`_polytope_oracle`)."""
+    if s == math.inf:
+        raise InputError("the grid oracle requires finite s")
     cfg = cfg or IntegrationConfig()
     d = spec.dimension
     z = np.asarray(z, dtype=float)
@@ -444,21 +450,20 @@ def _build_log_polar_nodes(spec: funcmodel.FunctionSpec, n: int):
     return Y[keep], g[keep] * h**d
 
 
+def _log_functional(spec: funcmodel.FunctionSpec, z,
+                    cfg: Optional[IntegrationConfig] = None, grad: bool = False):
+    """(Phi_inf(z), its gradient or None, nodes): Phi_inf(z) = int L_inf(shift(f, z))
+    = int e^{<z,y>} L_inf f(y) dy on the log-polar nodes, and its gradient
+    int y e^{<z,y>} L_inf f(y) dy, the first moment of L_inf(shift(f, z))."""
+    Y, gw = _log_polar_nodes(spec, cfg)
+    e = gw * np.exp(Y @ np.asarray(z, dtype=float))
+    val = float(np.sum(e))
+    if not math.isfinite(val):
+        raise NumericError("Phi_inf diverged at this center")
+    return val, Y.T @ e if grad else None, len(Y)
+
+
 def phi_log(spec: funcmodel.FunctionSpec, z,
             cfg: Optional[IntegrationConfig] = None) -> float:
     """Phi_inf(z) = int L_inf(shift(f, z)) = int e^{<z,y>} L_inf f(y) dy."""
-    Y, gw = _log_polar_nodes(spec, cfg)
-    z = np.asarray(z, dtype=float)
-    val = float(np.sum(gw * np.exp(Y @ z)))
-    if not math.isfinite(val):
-        raise NumericError("Phi_inf diverged at this center")
-    return val
-
-
-def phi_log_gradient(spec: funcmodel.FunctionSpec, z,
-                     cfg: Optional[IntegrationConfig] = None) -> np.ndarray:
-    """Gradient of Phi_inf at z; equals the first moment of L_inf(shift(f,z))."""
-    Y, gw = _log_polar_nodes(spec, cfg)
-    z = np.asarray(z, dtype=float)
-    e = gw * np.exp(Y @ z)
-    return Y.T @ e
+    return _log_functional(spec, z, cfg)[0]

@@ -61,9 +61,7 @@ def make_query(spec: funcmodel.FunctionSpec, s, t: float,
 
 
 def _product_at(q: RegionQuery, x: np.ndarray) -> float:
-    if q.s == INF:
-        return q.base_integral * pint.phi_log(q.spec, x, q.cfg)
-    return q.base_integral * pint.phi_sphere(q.spec, q.s, x).value
+    return q.base_integral * pint.phi(q.spec, q.s, x, q.cfg).value
 
 
 def _membership(q: RegionQuery, x: np.ndarray) -> Tuple[bool, Optional[float]]:

@@ -124,29 +124,16 @@ def _santalo_point(spec, s, cfg, compute_moment) -> SantaloResult:
     d = spec.dimension
     z0 = funcmodel.barycenter(spec, cfg).vector
 
-    if s == INF:
-        if not spec.is_log_concave:
-            raise InputError("s = inf requires a log-concave spec")
-
-        def vg(z):
-            val = pint.phi_log(spec, z, cfg)
-            grad = pint.phi_log_gradient(spec, z, cfg)
-            return val, grad
-
-        z, v, g, it, ok = _minimize_convex(vg, z0)
-        diag = float(np.linalg.norm(g)) / v
-        return SantaloResult(z, v, diag, it, ok)
-
     def vg(z):
-        res = pint.phi_gradient(spec, s, z, with_moment=False)
+        res = pint.phi(spec, s, z, cfg, grad=True)
         return res.value, res.gradient
 
     z, v, g, it, ok = _minimize_convex(vg, z0)
-    if compute_moment:
+    if compute_moment and s != INF:
         mass, mom = pint.polar_moment(spec, s, z, cfg)
         diag = float(np.linalg.norm(mom)) / mass
     else:
-        diag = float(np.linalg.norm(g)) / ((d + s + 1.0) * v)
+        diag = float(np.linalg.norm(g)) / (v if s == INF else (d + s + 1.0) * v)
     return SantaloResult(z, v, diag, it, ok)
 
 
@@ -186,6 +173,8 @@ def verify_santalo(spec: funcmodel.FunctionSpec, s: float, H: Hyperplane,
                    cfg: Optional[integration.IntegrationConfig] = None) -> dict:
     """lambda-split Santalo inequality at the constructed center:
     int f * Phi(z) <= kappa(d,s)^2 / (4 lambda (1 - lambda))."""
+    if s == INF:
+        raise InputError("the hyperplane construction requires finite s")
     cfg = cfg or integration.IntegrationConfig()
     d = spec.dimension
     lam, z = _split_center(spec, H, cfg)

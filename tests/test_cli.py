@@ -172,6 +172,22 @@ class TestExitCodes:
         assert r.exit_code == 2
         assert [v["path"] for v in json.loads(r.stderr)["violations"]] == ["/dimension"]
 
+    def test_phi_oracle_at_inf_is_2(self, runner, specs):
+        r = runner.invoke(cli.main, ["phi", "--spec", specs["gauss1"], "--s", "inf",
+                                     "--z", "0", "--oracle"])
+        assert r.exit_code == 2
+        assert "finite s" in json.loads(r.stderr)["error"]
+
+    @pytest.mark.parametrize("args", [["phi", "--z", "0"], ["polar", "--z", "0.5"],
+                                      ["santalo-point"], ["region", "--t", "1.5"]])
+    def test_inf_on_a_spec_that_is_not_log_concave_is_2(self, runner, specs, args):
+        r = runner.invoke(cli.main, [args[0], "--spec", specs["hhat2"], "--s", "inf",
+                                     *args[1:]])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert "Traceback" not in r.output
+        assert "log-concave" in json.loads(r.stderr)["error"]
+
     def test_phi_outside_support_is_1(self, runner, specs):
         r = runner.invoke(cli.main, ["phi", "--spec", specs["box1"],
                                      "--s", "1", "--z", "1.5"])
@@ -210,6 +226,22 @@ class TestDeterminism:
         rep = json.loads(outs[0])
         # the centre, then per ray at most the 25 of a bisection to tol
         assert 1 < rep["evaluations"] <= 1 + 25 * len(rep["radii"])
+
+    def test_phi_inf_report_byte_identical(self, runner, specs, tmp_path):
+        outs = []
+        for i in (0, 1):
+            out = tmp_path / f"phi{i}.json"
+            r = runner.invoke(cli.main, ["phi", "--spec", specs["gauss1"], "--s", "inf",
+                                         "--z", "0.25", "--out", str(out)])
+            assert r.exit_code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        rep = json.loads(outs[0])
+        # the report of finite s
+        assert set(rep) == {"op", "s", "z", "value", "gradient", "moment", "method",
+                            "nodes", "err_est"}
+        assert rep["method"] == "log-grid" and rep["err_est"] is None
+        assert rep["nodes"] > 0
 
     def test_env_seed_default(self, runner, specs, monkeypatch, tmp_path):
         monkeypatch.setenv("POLARLAB_SEED", "12345")

@@ -7,7 +7,7 @@ from scipy import integrate, special
 from polarlab import funcmodel as fm
 from polarlab import polar_integrals as pint
 from polarlab import lifting, santalo, transforms
-from polarlab.errors import DomainError
+from polarlab.errors import DomainError, InputError
 
 
 def hhat_spec(d, s):
@@ -148,7 +148,7 @@ class TestPolytopeExact:
             z = w @ V
             vol, mom = polar_volume_and_moment(V, z)
             assert pint.phi_sphere(spec, s, z).value == pytest.approx(c * vol, rel=1e-12)
-            res = pint.phi_gradient(spec, s, z, with_moment=False)
+            res = pint.phi(spec, s, z, grad=True)
             assert res.value == pytest.approx(c * vol, rel=1e-12)
             np.testing.assert_allclose(res.gradient, c * (d + 1) * mom, rtol=1e-12,
                                        atol=1e-12 * np.abs(mom).max())
@@ -165,7 +165,7 @@ class TestPolytopeExact:
             with pytest.raises(DomainError):
                 pint.phi_sphere(spec, 2.0, np.array(z))
             with pytest.raises(DomainError):
-                pint.phi_gradient(spec, 2.0, np.array(z), with_moment=False)
+                pint.phi(spec, 2.0, np.array(z), grad=True)
 
 
 class TestCusp:
@@ -233,17 +233,18 @@ class TestGradient:
     def test_interval_gradient_closed_form(self):
         spec = interval_spec()
         z = np.array([0.5])
-        res = pint.phi_gradient(spec, 1.0, z, with_moment=True)
+        res = pint.phi(spec, 1.0, z, grad=True)
         # Phi(z) = 1/(1-z^2) so Phi'(z) = 2z/(1-z^2)^2
         want = 2.0 * 0.5 / (1.0 - 0.25) ** 2
         assert res.gradient[0] == pytest.approx(want, rel=1e-8)
         # gradient = (d+s+1) * first moment of the polar of the shift
-        assert res.gradient[0] == pytest.approx(3.0 * res.moment[0], rel=1e-4)
+        _, moment = pint.polar_moment(spec, 1.0, z)
+        assert res.gradient[0] == pytest.approx(3.0 * moment[0], rel=1e-4)
 
     def test_finite_difference_agreement(self):
         spec = hhat_spec(2, 2.0)
         z = np.array([0.2, 0.1])
-        g = pint.phi_gradient(spec, 2.0, z).gradient
+        g = pint.phi(spec, 2.0, z, grad=True).gradient
         h = 1e-5
         for i in range(2):
             e = np.zeros(2)
@@ -276,10 +277,54 @@ class TestPhiLog:
     def test_gradient_matches_fd(self):
         g = fm.FunctionSpec(1, fm.LogConcave(), fm.Gaussian((0.3,), 1.0))
         z = np.array([0.5])
-        grad = pint.phi_log_gradient(g, z)
+        grad = pint.phi(g, math.inf, z, grad=True).gradient
         h = 1e-5
         fd = (pint.phi_log(g, z + h) - pint.phi_log(g, z - h)) / (2 * h)
         assert grad[0] == pytest.approx(fd, rel=1e-5)
+
+
+class TestPhi:
+    @pytest.mark.parametrize("spec,s,z", [
+        (interval_spec(), 1.0, np.array([0.3])),
+        (hhat_spec(2, 2.0), 2.0, np.array([0.2, -0.1])),
+    ])
+    def test_finite_s_is_phi_sphere(self, spec, s, z):
+        for est in (False, True):
+            assert pint.phi(spec, s, z, error_estimate=est) == pint.phi_sphere(
+                spec, s, z, error_estimate=est)
+        res = pint.phi(spec, s, z, grad=True)
+        want = pint.phi_sphere(spec, s, z)
+        assert (res.value, res.method, res.nodes) == (want.value, want.method, want.nodes)
+        assert res.err_est is None and res.gradient.shape == z.shape
+
+    def test_inf_is_phi_log(self):
+        g = fm.FunctionSpec(2, fm.LogConcave(), fm.Gaussian((0.3, -0.2), 1.0))
+        z = np.array([0.5, 0.1])
+        cfg = pint.IntegrationConfig(resolution=64)
+        for est in (False, True):
+            res = pint.phi(g, math.inf, z, cfg, error_estimate=est)
+            assert res.value == pint.phi_log(g, z, cfg)
+            assert (res.method, res.err_est, res.gradient) == ("log-grid", None, None)
+            assert res.nodes == len(pint._log_polar_nodes(g, cfg)[0])
+        res = pint.phi(g, math.inf, z, cfg, grad=True)
+        assert res.value == pint.phi_log(g, z, cfg)
+        assert res.nodes == pint.phi(g, math.inf, z, cfg).nodes
+
+    def test_inf_needs_a_log_concave_spec(self):
+        with pytest.raises(InputError):
+            pint.phi(hhat_spec(2, 2.0), math.inf, np.zeros(2))
+
+    def test_finite_s_paths_refuse_inf(self):
+        # the sphere rule, the grid oracle and the hyperplane construction
+        # take finite s only
+        spec = hhat_spec(2, 2.0)
+        z = np.array([0.1, 0.0])
+        with pytest.raises(InputError):
+            pint.phi_sphere(spec, math.inf, z)
+        with pytest.raises(InputError):
+            pint.phi_oracle(spec, math.inf, z)
+        with pytest.raises(InputError):
+            santalo.verify_santalo(spec, math.inf, santalo.Hyperplane.of((1.0, 0.0), 0.0))
 
 
 class TestPolytopeOracle:
@@ -375,7 +420,7 @@ class TestBallExact:
     def test_gradient_matches_central_differences(self, d):
         spec = ball_spec(d, 2.0, BALL_CENTRE[:d], 1.3)
         z = BALL_QUERIES[1, :d]
-        res = pint.phi_gradient(spec, 2.0, z, with_moment=False)
+        res = pint.phi(spec, 2.0, z, grad=True)
         assert res.method == "exact"
         assert res.value == pint.phi_sphere(spec, 2.0, z).value
         h = 1e-6
@@ -393,7 +438,7 @@ class TestBallExact:
             with pytest.raises(DomainError):
                 pint.phi_sphere(spec, 1.0, z)
             with pytest.raises(DomainError):
-                pint.phi_gradient(spec, 1.0, z, with_moment=False)
+                pint.phi(spec, 1.0, z, grad=True)
 
     def test_shifted_and_log_approx_are_exact(self):
         c, off = BALL_CENTRE[:2], np.array([0.4, -0.3])
@@ -407,7 +452,7 @@ class TestBallExact:
             got = pint.phi_sphere(spec, 2.0, at, error_estimate=True)
             assert got.method == "exact" and got.err_est == 0.0
             assert got.value == pytest.approx(want.value, rel=1e-14)
-            grad = pint.phi_gradient(spec, 2.0, at, with_moment=False)
+            grad = pint.phi(spec, 2.0, at, grad=True)
             assert grad.method == "exact"
 
     def test_only_indicators_are_exact(self):

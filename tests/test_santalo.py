@@ -227,7 +227,7 @@ class TestMinimizerResolution:
         spec = fm.FunctionSpec(3, fm.SConcave(1.0), fm.PolytopeIndicator(V))
         res = santalo.santalo_point(spec, 1.0, compute_moment=False)
         assert res.converged and res.iterations < 100
-        g = pint.phi_gradient(spec, 1.0, res.z_star, with_moment=False)
+        g = pint.phi(spec, 1.0, res.z_star, grad=True)
         assert np.linalg.norm(g.gradient) <= 1e-9 * g.value
 
 
