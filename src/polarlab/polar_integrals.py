@@ -237,8 +237,10 @@ def _sphere_functional(spec: funcmodel.FunctionSpec, s: float, w,
     functional into Phi(z) = d! Gamma(s+1)/Gamma(d+s+1) vol((K - z)°).
 
     Returns (value, gradient or None, method, nodes); DomainError if w is
-    not interior to K-hat.
+    not interior to K-hat, InputError if s is not finite.
     """
+    if s == math.inf:  # the closed forms do not build the sphere rule
+        raise InputError("the sphere rule requires finite positive s")
     d = spec.dimension
     w = np.asarray(w, dtype=float)
     if len(w) == d + 1 and w[d] == 0.0:

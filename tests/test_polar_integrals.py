@@ -321,6 +321,8 @@ class TestPhi:
         z = np.array([0.1, 0.0])
         with pytest.raises(InputError):
             pint.phi_sphere(spec, math.inf, z)
+        with pytest.raises(InputError):  # a closed form, no sphere rule
+            pint.phi_sphere(interval_spec(), math.inf, z[:1])
         with pytest.raises(InputError):
             pint.phi_oracle(spec, math.inf, z)
         with pytest.raises(InputError):
