@@ -52,24 +52,51 @@ class MonteCarloConfig:
             raise InputError("samples must be >= 10^4")
 
 
-def _midpoint_chunks(lo, hi, n: int):
-    """Yield (points_chunk, cell_volume) covering the box with n^d midpoints."""
+def _grid_axes(lo, hi, n: int):
+    """(axes, h, cell): the n cell midpoints along each axis of the box, the
+    cell widths and the cell volume."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    d = len(lo)
     h = (hi - lo) / n
-    axes = [lo[i] + h[i] * (np.arange(n) + 0.5) for i in range(d)]
-    cell = float(np.prod(h))
-    if d == 1:
+    axes = [lo[i] + h[i] * (np.arange(n) + 0.5) for i in range(len(lo))]
+    return axes, h, float(np.prod(h))
+
+
+def _row_slices(n: int, d: int):
+    """The slices of the first axis that _midpoint_chunks covers, one a chunk."""
+    rows_per_chunk = n if d == 1 else max(1, _CHUNK // n ** (d - 1))
+    for start in range(0, n, rows_per_chunk):
+        yield slice(start, start + rows_per_chunk)
+
+
+def _midpoint_chunks(lo, hi, n: int):
+    """Yield (points_chunk, cell_volume) covering the box with n^d midpoints."""
+    axes, _, cell = _grid_axes(lo, hi, n)
+    if len(axes) == 1:
         yield axes[0][:, None], cell
         return
-    per_row = n ** (d - 1)
-    rows_per_chunk = max(1, _CHUNK // per_row)
-    for start in range(0, n, rows_per_chunk):
-        first = axes[0][start:start + rows_per_chunk]
-        mesh = np.meshgrid(first, *axes[1:], indexing="ij")
+    for rows in _row_slices(n, len(axes)):
+        mesh = np.meshgrid(axes[0][rows], *axes[1:], indexing="ij")
         X = np.stack([m.ravel() for m in mesh], axis=1)
         yield X, cell
+
+
+def _midpoint_values(spec: funcmodel.FunctionSpec, cfg: IntegrationConfig) -> np.ndarray:
+    """f at the midpoints of the n^d cells of the support box, n =
+    cfg.axis_cells(d), as an (n,)*d array; kept on the spec per config.  Only
+    the values are kept: the points follow from the box."""
+    def build():
+        d = spec.dimension
+        n = cfg.axis_cells(d)
+        lo, hi = funcmodel.support_box(spec)
+        V = np.empty(n ** d)
+        end = 0
+        for X, _ in _midpoint_chunks(lo, hi, n):
+            V[end:end + len(X)] = funcmodel.evaluate_batch(spec, X)
+            end += len(X)
+        return V.reshape((n,) * d)
+
+    return spec.memo(("midpoint_values", cfg), build)
 
 
 def midpoint_box(fn: Callable[[np.ndarray], np.ndarray], lo, hi, n: int) -> float:
@@ -165,7 +192,12 @@ def _moment_grid(spec: funcmodel.FunctionSpec, cfg: IntegrationConfig):
         v = funcmodel.evaluate_batch(spec, X)
         mass += float(np.sum(v)) * cell
         mom += (v @ X) * cell
-    coarse = midpoint_box(lambda X: funcmodel.evaluate_batch(spec, X), lo, hi, n // 2)
+    # the coarse pass: the split's grid, summed in midpoint_box's chunks
+    V = _midpoint_values(spec, cfg)
+    cell = _grid_axes(lo, hi, n // 2)[2]
+    coarse = 0.0
+    for rows in _row_slices(n // 2, d):
+        coarse += float(np.sum(V[rows])) * cell
     err = abs(mass - coarse) / 3.0 + 1e-15 * abs(mass)
     if not math.isfinite(mass):
         raise NumericError("moment integral did not converge")
@@ -193,35 +225,47 @@ def split_moments(spec: funcmodel.FunctionSpec, normal, offset: float,
     """Half-space split of mass and moment across H = {<a,x> = c}.
 
     Returns dict with masses m_plus/m_minus and unnormalized moments
-    b_plus/b_minus over the two closed half-spaces.  Cells are assigned by
-    the sign at the cell center; cells straddling H are subdivided once.
+    b_plus/b_minus over the two closed half-spaces, by the midpoint rule on
+    the n^d cells of the support box.  A cell farther from H than half its
+    diagonal goes wholly to its side; a cell straddling H is split into 2^d
+    sub-cells, each going wholly to the side of its centre.
+
+    f at the cell midpoints does not depend on H: it is evaluated on the
+    first call for a spec and config and kept on the spec.  Each call then
+    evaluates f only at the 2^d sub-cell centres of the straddling cells,
+    O(n^(d-1)) of them.
     """
     cfg = cfg or IntegrationConfig()
     d = spec.dimension
     a = np.asarray(normal, dtype=float)
     a = a / np.linalg.norm(a)
+    V = _midpoint_values(spec, cfg)
     lo, hi = funcmodel.support_box(spec)
-    n = cfg.axis_cells(d)
-    h = (np.asarray(hi) - np.asarray(lo)) / n
+    axes, h, cell = _grid_axes(lo, hi, V.shape[0])
     half_diag = 0.5 * float(np.linalg.norm(h))
-    sub_offsets = (np.stack(np.meshgrid(*([np.array([-0.25, 0.25])] * d),
-                                        indexing="ij"), axis=-1).reshape(-1, d) * h)
+    grids = np.ix_(*axes)
+    dist = a[0] * grids[0] - offset
+    for i in range(1, d):
+        dist = dist + a[i] * grids[i]
+    plus, minus = dist > half_diag, dist < -half_diag
     m = np.zeros(2)
     b = np.zeros((2, d))
-    for X, cell in _midpoint_chunks(lo, hi, n):
-        dist = X @ a - offset
-        v = funcmodel.evaluate_batch(spec, X)
-        clear = np.abs(dist) > half_diag
-        for side, mask in ((0, clear & (dist >= 0)), (1, clear & (dist < 0))):
-            m[side] += float(np.sum(v[mask])) * cell
-            b[side] += (v[mask] @ X[mask]) * cell
-        edge = ~clear
-        if edge.any():
-            sub = (X[edge][:, None, :] + sub_offsets[None, :, :]).reshape(-1, d)
-            sv = funcmodel.evaluate_batch(spec, sub)
-            sdist = sub @ a - offset
-            w = cell / len(sub_offsets)
-            for side, mask in ((0, sdist >= 0), (1, sdist < 0)):
-                m[side] += float(np.sum(sv[mask])) * w
-                b[side] += (sv[mask] @ sub[mask]) * w
+    for side, mask in enumerate((plus, minus)):
+        W = np.where(mask, V, 0.0)
+        for i in range(d):
+            marginal = W.sum(axis=tuple(j for j in range(d) if j != i))
+            b[side, i] = (marginal @ axes[i]) * cell
+        m[side] = float(np.sum(marginal)) * cell
+    edge = np.nonzero(~(plus | minus))
+    if edge[0].size:
+        sub_offsets = (np.stack(np.meshgrid(*([np.array([-0.25, 0.25])] * d),
+                                            indexing="ij"), axis=-1).reshape(-1, d) * h)
+        X = np.stack([axes[i][edge[i]] for i in range(d)], axis=1)
+        sub = (X[:, None, :] + sub_offsets[None, :, :]).reshape(-1, d)
+        sv = funcmodel.evaluate_batch(spec, sub)
+        sv_plus = np.where(sub @ a - offset >= 0, sv, 0.0)
+        w = cell / len(sub_offsets)
+        for side, sw in enumerate((sv_plus, sv - sv_plus)):
+            m[side] += float(np.sum(sw)) * w
+            b[side] += (sw @ sub) * w
     return {"m_plus": m[0], "m_minus": m[1], "b_plus": b[0], "b_minus": b[1]}

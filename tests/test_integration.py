@@ -112,6 +112,88 @@ class TestSplitMoments:
         assert b[0] == pytest.approx(0.0, abs=1e-6)
 
 
+def unit_disc():
+    return fm.FunctionSpec(2, fm.SConcave(1.0), fm.BallIndicator((0.0, 0.0), 1.0))
+
+
+def cap(c):
+    """(area, <moment, a>) of the cap {x in the unit disc : <a, x> >= c}."""
+    return math.acos(c) - c * math.sqrt(1.0 - c * c), 2.0 / 3.0 * (1.0 - c * c) ** 1.5
+
+
+def count_points(monkeypatch):
+    """The number of points of each later evaluate_batch call, as a list."""
+    points = []
+    evaluate = fm.evaluate_batch
+
+    def counted(spec, X):
+        points.append(len(X))
+        return evaluate(spec, X)
+
+    monkeypatch.setattr(fm, "evaluate_batch", counted)
+    return points
+
+
+class TestMidpointValues:
+    """split_moments reads f at the midpoints from the spec, keyed by the
+    whole config; only the cells straddling H are evaluated per call."""
+
+    def test_second_split_evaluates_only_straddling_cells(self, monkeypatch):
+        spec = hhat_spec(2, 2.0)
+        integration.split_moments(spec, [1.0, 0.0], 0.2)
+        a, c = np.array([0.6, 0.8]), 0.1
+        lo, hi = fm.support_box(spec)
+        n = integration.IntegrationConfig().axis_cells(2)
+        X = np.concatenate([X for X, _ in integration._midpoint_chunks(lo, hi, n)])
+        half_diag = 0.5 * float(np.linalg.norm((np.asarray(hi) - np.asarray(lo)) / n))
+        straddling = int(np.sum(np.abs(X @ a - c) <= half_diag))
+        points = count_points(monkeypatch)
+        integration.split_moments(spec, a, c)
+        assert 0 < sum(points) <= 4 * straddling
+
+    def test_moment_grid_reads_the_stored_coarse_grid(self, monkeypatch):
+        spec = TestMemoKeys.grid()
+        cfg = integration.IntegrationConfig(resolution=32)
+        integration.split_moments(spec, [1.0, 0.0], 0.2, cfg)
+        points = count_points(monkeypatch)
+        integration.moment_grid(spec, cfg)
+        assert sum(points) == 64**2
+
+    def test_config_is_part_of_the_key(self):
+        parsed = fm.spec_from_json(fm.spec_to_json(TestMemoKeys.grid()))
+        coarse = integration.split_moments(parsed, [0.6, 0.8], 0.1,
+                                           integration.IntegrationConfig(resolution=64))
+        got = integration.split_moments(parsed, [0.6, 0.8], 0.1)
+        want = integration.split_moments(TestMemoKeys.grid(), [0.6, 0.8], 0.1)
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key])
+        assert got["m_plus"] != coarse["m_plus"]
+
+    def test_stored_values_are_read_only(self):
+        spec = hhat_spec(2, 2.0)
+        cfg = integration.IntegrationConfig(resolution=32)
+        integration.split_moments(spec, [1.0, 0.0], 0.0, cfg)
+        V = integration._midpoint_values(spec, cfg)
+        assert V.shape == (32, 32) and not V.flags.writeable
+        with pytest.raises(ValueError):
+            V[0, 0] = 1.0
+
+    @pytest.mark.parametrize("c", [0.0, 0.3, -0.55])
+    def test_cap_closed_forms(self, c):
+        a = np.array([0.6, 0.8])
+        sm = integration.split_moments(unit_disc(), a, c)
+        area, moment = cap(c)
+        assert abs(sm["m_plus"] - area) <= 1e-4
+        assert abs(sm["b_plus"] @ a - moment) <= 1e-4
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "O(h) straddle rule: for a normal along an axis, the sub-cell centres "
+        "of a whole straddling row fall on one side of H (m_plus 1.5e-3 off)"))
+    def test_axis_aligned_cap(self):
+        sm = integration.split_moments(unit_disc(), [1.0, 0.0], 0.3)
+        assert abs(sm["m_plus"] - cap(0.3)[0]) <= 1e-4
+
+
 def polytope(V):
     V = np.asarray(V, dtype=float)
     return fm.FunctionSpec(V.shape[1], fm.SConcave(1.0),
