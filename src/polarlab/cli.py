@@ -270,6 +270,8 @@ def santalo_point_cmd(spec_path, s_text, hyp_text, lam, grid, out, fmt):
 def region_cmd(spec_path, s_text, t, rays, z_text, grid, out, fmt):
     """Santalo region boundary by a bracketed root solve along each ray, or
     point membership."""
+    if rays < 1:
+        raise InputError("--rays must be >= 1")
     spec = _load_spec(spec_path)
     s = _parse_s(s_text)
     q = regions.make_query(spec, s, t, _grid_cfg(grid))
@@ -312,7 +314,7 @@ def convergence_cmd(spec_path, z_text, sched_text, seed, grid, out, fmt):
     spec = _load_spec(spec_path)
     if not spec.is_log_concave:
         raise InputError("convergence requires a log-concave spec")
-    schedule = [float(p) for p in sched_text.split(",")]
+    schedule = _parse_vec(sched_text, "--s-schedule").tolist()
     seed = _default_seed() if seed is None else seed
     if z_text is not None:
         pts = [tuple(_parse_vec(z_text))]

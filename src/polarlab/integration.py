@@ -106,16 +106,20 @@ def midpoint_box(fn: Callable[[np.ndarray], np.ndarray], lo, hi, n: int) -> floa
     return total
 
 
-def richardson_box(fn, lo, hi, n: int) -> Tuple[float, float]:
-    """Midpoint rule at n and 2n cells per axis with Richardson combination;
+def _richardson(coarse: float, fine: float) -> Tuple[float, float]:
+    """Richardson combination of midpoint sums at n and 2n cells per axis;
     returns (value, error estimate)."""
-    i1 = midpoint_box(fn, lo, hi, n)
-    i2 = midpoint_box(fn, lo, hi, 2 * n)
-    value = i2 + (i2 - i1) / 3.0
-    err = abs(i2 - i1) / 3.0 + 1e-15 * abs(i2)
+    value = fine + (fine - coarse) / 3.0
+    err = abs(fine - coarse) / 3.0 + 1e-15 * abs(fine)
     if not math.isfinite(value):
         raise NumericError("grid integral did not converge")
     return value, err
+
+
+def richardson_box(fn, lo, hi, n: int) -> Tuple[float, float]:
+    """Midpoint rule at n and 2n cells per axis with Richardson combination;
+    returns (value, error estimate)."""
+    return _richardson(midpoint_box(fn, lo, hi, n), midpoint_box(fn, lo, hi, 2 * n))
 
 
 def radial_integral(g: Callable[[np.ndarray], np.ndarray], R: float,
@@ -130,78 +134,65 @@ def radial_integral(g: Callable[[np.ndarray], np.ndarray], R: float,
 
 def integrate_grid(spec: funcmodel.FunctionSpec,
                    cfg: Optional[IntegrationConfig] = None) -> Tuple[float, float]:
-    """Integral of f with an error estimate, kept on the spec per config.
-
-    Rotationally symmetric specs take a one-dimensional radial quadrature;
-    polytope indicators (also shifted) use the exact hull volume; everything
-    else falls back to the tensor midpoint rule with Richardson
-    extrapolation.
-    """
-    cfg = cfg or IntegrationConfig()
-    return spec.memo(("integrate_grid", cfg), lambda: _integrate_grid(spec, cfg))
-
-
-def _integrate_grid(spec: funcmodel.FunctionSpec, cfg: IntegrationConfig):
-    d = spec.dimension
-    ri = spec.radial
-    if ri is not None:
-        if ri.indicator:
-            R = ri.radius
-            vol = SPHERE_SURFACE[d] * R**d / d
-            return vol, 1e-15 * vol
-        # R: the support radius, truncated where f drops to EPS_TAIL
-        return radial_integral(ri.f_rad, spec.support.radius, d)
-    spec, _ = funcmodel.unshift(spec)  # a shift moves no mass
-    P = funcmodel.polytope_support(spec)
-    if P is not None:
-        vol, _ = _polytope_moments(P.points)
-        return vol, 1e-15 * vol
-    lo, hi = funcmodel.support_box(spec)
-    n = cfg.axis_cells(d)
-    return richardson_box(lambda X: funcmodel.evaluate_batch(spec, X), lo, hi, n)
+    """Integral of f with an error estimate, kept on the spec per config."""
+    value, err, _, _ = _integrals(spec, cfg or IntegrationConfig())
+    return value, err
 
 
 def moment_grid(spec: funcmodel.FunctionSpec,
                 cfg: Optional[IntegrationConfig] = None):
     """(mass, first moment vector, error estimate) of f, kept on the spec per
-    config.
-
-    Radial specs and polytope indicators (also shifted) are exact; everything
-    else takes the tensor midpoint rule.
-    """
-    cfg = cfg or IntegrationConfig()
-    return spec.memo(("moment_grid", cfg), lambda: _moment_grid(spec, cfg))
-
-
-def _moment_grid(spec: funcmodel.FunctionSpec, cfg: IntegrationConfig):
-    d = spec.dimension
-    ri = spec.radial
-    if ri is not None:
-        mass, err = integrate_grid(spec, cfg)
-        return mass, ri.center * mass, err
-    inner, offset = funcmodel.unshift(spec)
-    P = funcmodel.polytope_support(inner)
-    if P is not None:
-        mass, mom = _polytope_moments(P.points)
-        return mass, mom + offset * mass, 1e-15 * mass
-    lo, hi = funcmodel.support_box(spec)
-    n = 2 * cfg.axis_cells(d)
-    mass = 0.0
-    mom = np.zeros(d)
-    for X, cell in _midpoint_chunks(lo, hi, n):
-        v = funcmodel.evaluate_batch(spec, X)
-        mass += float(np.sum(v)) * cell
-        mom += (v @ X) * cell
-    # the coarse pass: the split's grid, summed in midpoint_box's chunks
-    V = _midpoint_values(spec, cfg)
-    cell = _grid_axes(lo, hi, n // 2)[2]
-    coarse = 0.0
-    for rows in _row_slices(n // 2, d):
-        coarse += float(np.sum(V[rows])) * cell
-    err = abs(mass - coarse) / 3.0 + 1e-15 * abs(mass)
-    if not math.isfinite(mass):
-        raise NumericError("moment integral did not converge")
+    config.  On the midpoint grid the mass is the fine sum, not the
+    Richardson value of integrate_grid."""
+    _, err, mass, mom = _integrals(spec, cfg or IntegrationConfig())
     return mass, mom, err
+
+
+def _integrals(spec: funcmodel.FunctionSpec, cfg: IntegrationConfig):
+    """(integral, error estimate, mass, first moment) of f, kept on the spec
+    per config.
+
+    Radial specs take a one-dimensional radial quadrature, polytope
+    indicators the exact hull moments; there the integral is the mass.  A
+    shifted spec reads its unshifted inner spec's and moves the moment.  Any
+    other spec takes one pass over the 2n-cell midpoint grid for the mass
+    and the moment, and the integral is its Richardson combination with the
+    stored n-cell grid (_midpoint_values).
+    """
+    def build():
+        d = spec.dimension
+        ri = spec.radial
+        if ri is not None:
+            if ri.indicator:
+                vol = SPHERE_SURFACE[d] * ri.radius**d / d
+                value, err = vol, 1e-15 * vol
+            else:
+                # R: the support radius, truncated where f drops to EPS_TAIL
+                value, err = radial_integral(ri.f_rad, spec.support.radius, d)
+            return value, err, value, ri.center * value
+        inner, offset = funcmodel.unshift(spec)
+        if inner is not spec:  # a shift moves no mass
+            value, err, mass, mom = _integrals(inner, cfg)
+            return value, err, mass, mom + offset * mass
+        P = funcmodel.polytope_support(spec)
+        if P is not None:
+            vol, mom = _polytope_moments(P.points)
+            return vol, 1e-15 * vol, vol, mom
+        lo, hi = funcmodel.support_box(spec)
+        n = cfg.axis_cells(d)
+        mass, mom = 0.0, np.zeros(d)
+        for X, cell in _midpoint_chunks(lo, hi, 2 * n):
+            v = funcmodel.evaluate_batch(spec, X)
+            mass += float(np.sum(v)) * cell
+            mom += (v @ X) * cell
+        # the coarse sum: the split's grid, summed in midpoint_box's chunks
+        V = _midpoint_values(spec, cfg)
+        cell = _grid_axes(lo, hi, n)[2]
+        coarse = sum(float(np.sum(V[rows])) * cell for rows in _row_slices(n, d))
+        value, err = _richardson(coarse, mass)
+        return value, err, mass, mom
+
+    return spec.memo(("integrals", cfg), build)
 
 
 def _polytope_moments(V: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -233,12 +224,15 @@ def split_moments(spec: funcmodel.FunctionSpec, normal, offset: float,
     f at the cell midpoints does not depend on H: it is evaluated on the
     first call for a spec and config and kept on the spec.  Each call then
     evaluates f only at the 2^d sub-cell centres of the straddling cells,
-    O(n^(d-1)) of them.
+    O(n^(d-1)) of them.  A shifted spec is split as its unshifted inner spec,
+    at the offset moved by the shift, so the grid is kept on the inner spec.
     """
     cfg = cfg or IntegrationConfig()
     d = spec.dimension
     a = np.asarray(normal, dtype=float)
     a = a / np.linalg.norm(a)
+    spec, shift = funcmodel.unshift(spec)
+    offset = offset - float(a @ shift)
     V = _midpoint_values(spec, cfg)
     lo, hi = funcmodel.support_box(spec)
     axes, h, cell = _grid_axes(lo, hi, V.shape[0])
@@ -268,4 +262,6 @@ def split_moments(spec: funcmodel.FunctionSpec, normal, offset: float,
         for side, sw in enumerate((sv_plus, sv - sv_plus)):
             m[side] += float(np.sum(sw)) * w
             b[side] += (sw @ sub) * w
+    if shift.any():
+        b += m[:, None] * shift
     return {"m_plus": m[0], "m_minus": m[1], "b_plus": b[0], "b_minus": b[1]}

@@ -157,12 +157,11 @@ def default_quadrature(d: int, s: float) -> SphereQuadrature:
 
 @dataclass(frozen=True)
 class PolarIntegral:
-    """Phi(z) with optional gradient/moment diagnostics."""
+    """Phi(z) with optional gradient diagnostics."""
 
     value: float
     method: str
     gradient: Optional[np.ndarray] = None
-    moment: Optional[np.ndarray] = None
     err_est: Optional[float] = None
     nodes: Optional[int] = None
 
@@ -170,7 +169,6 @@ class PolarIntegral:
         return {
             "value": self.value,
             "gradient": None if self.gradient is None else list(self.gradient),
-            "moment": None if self.moment is None else list(self.moment),
             "method": self.method,
             "nodes": self.nodes,
             "err_est": self.err_est,

@@ -134,6 +134,18 @@ class TestExitCodes:
         r = runner.invoke(cli.main, ["phi", "--spec", specs["hhat2"],
                                      "--s", "-1", "--z", "0"])
         assert r.exit_code == 2
+        for schedule in ("a,4", ""):
+            r = runner.invoke(cli.main, ["convergence", "--spec", specs["gauss1"],
+                                         "--z", "0", "--s-schedule", schedule])
+            assert r.exit_code == 2
+            assert "--s-schedule" in json.loads(r.stderr)["error"]
+
+    @pytest.mark.parametrize("rays", ["0", "-3"])
+    def test_ray_count_below_1_is_2(self, runner, specs, rays):
+        r = runner.invoke(cli.main, ["region", "--spec", specs["grid2"], "--s", "1",
+                                     "--t", "1.5", "--rays", rays])
+        assert r.exit_code == 2
+        assert "--rays" in json.loads(r.stderr)["error"]
 
     @pytest.mark.parametrize("args", [["santalo-point"], ["phi", "--z", "0"],
                                       ["phi", "--z", "0", "--oracle"]])
@@ -238,8 +250,8 @@ class TestDeterminism:
         assert outs[0] == outs[1]
         rep = json.loads(outs[0])
         # the report of finite s
-        assert set(rep) == {"op", "s", "z", "value", "gradient", "moment", "method",
-                            "nodes", "err_est"}
+        assert set(rep) == {"op", "s", "z", "value", "gradient", "method", "nodes",
+                            "err_est"}
         assert rep["method"] == "log-grid" and rep["err_est"] is None
         assert rep["nodes"] > 0
 

@@ -38,17 +38,22 @@ class TestMemoKeys:
         vals = np.maximum(0.0, 1.0 - (X - 0.3) ** 2 - 2.0 * Y**2)
         return fm.FunctionSpec(2, fm.SConcave(1.0), fm.GridProfile((-1.0, -1.0), 0.25, vals))
 
+    @staticmethod
+    def shifted_grid():
+        return fm.FunctionSpec(2, fm.SConcave(1.0), fm.Shifted(TestMemoKeys.grid(), (0.3, -0.45)))
+
     def test_resolution_is_part_of_the_key(self):
-        parsed = fm.spec_from_json(fm.spec_to_json(self.grid()))
-        got = {}
-        for n in (32, 64):
-            cfg = integration.IntegrationConfig(resolution=n)
-            got[n] = (integration.integrate_grid(parsed, cfg)[0],
-                      fm.barycenter(parsed, cfg).vector)
-            assert got[n][0] == integration.integrate_grid(self.grid(), cfg)[0]
-            np.testing.assert_array_equal(got[n][1], fm.barycenter(self.grid(), cfg).vector)
-        assert got[32][0] != got[64][0]
-        assert not np.array_equal(got[32][1], got[64][1])
+        for build in (self.grid, self.shifted_grid):
+            parsed = fm.spec_from_json(fm.spec_to_json(build()))
+            got = {}
+            for n in (32, 64):
+                cfg = integration.IntegrationConfig(resolution=n)
+                got[n] = (integration.integrate_grid(parsed, cfg)[0],
+                          fm.barycenter(parsed, cfg).vector)
+                assert got[n][0] == integration.integrate_grid(build(), cfg)[0]
+                np.testing.assert_array_equal(got[n][1], fm.barycenter(build(), cfg).vector)
+            assert got[32][0] != got[64][0]
+            assert not np.array_equal(got[32][1], got[64][1])
 
 
 class TestBoxRules:
@@ -142,14 +147,10 @@ class TestMidpointValues:
         spec = hhat_spec(2, 2.0)
         integration.split_moments(spec, [1.0, 0.0], 0.2)
         a, c = np.array([0.6, 0.8]), 0.1
-        lo, hi = fm.support_box(spec)
         n = integration.IntegrationConfig().axis_cells(2)
-        X = np.concatenate([X for X, _ in integration._midpoint_chunks(lo, hi, n)])
-        half_diag = 0.5 * float(np.linalg.norm((np.asarray(hi) - np.asarray(lo)) / n))
-        straddling = int(np.sum(np.abs(X @ a - c) <= half_diag))
         points = count_points(monkeypatch)
         integration.split_moments(spec, a, c)
-        assert 0 < sum(points) <= 4 * straddling
+        assert 0 < sum(points) <= 4 * straddling(spec, a, c, n)
 
     def test_moment_grid_reads_the_stored_coarse_grid(self, monkeypatch):
         spec = TestMemoKeys.grid()
@@ -192,6 +193,62 @@ class TestMidpointValues:
     def test_axis_aligned_cap(self):
         sm = integration.split_moments(unit_disc(), [1.0, 0.0], 0.3)
         assert abs(sm["m_plus"] - cap(0.3)[0]) <= 1e-4
+
+
+def straddling(spec, a, c, n):
+    """The number of cells of the n^d midpoint grid of spec's support box
+    that are within half a diagonal of {<a, x> = c}, |a| = 1."""
+    lo, hi = fm.support_box(spec)
+    X = np.concatenate([X for X, _ in integration._midpoint_chunks(lo, hi, n)])
+    half_diag = 0.5 * float(np.linalg.norm((np.asarray(hi) - np.asarray(lo)) / n))
+    return int(np.sum(np.abs(X @ a - c) <= half_diag))
+
+
+class TestIntegrals:
+    """integrate_grid, moment_grid and split_moments read one set of
+    integrals per spec and config, and a shifted spec reads those of its
+    unshifted inner spec."""
+
+    cfg = integration.IntegrationConfig(resolution=32)
+
+    def test_one_pass_per_grid(self, monkeypatch):
+        spec = TestMemoKeys.grid()
+        points = count_points(monkeypatch)
+        integration.integrate_grid(spec, self.cfg)
+        integration.moment_grid(spec, self.cfg)
+        assert sum(points) == 64**2 + 32**2
+
+    def test_shifted_moments_read_the_inner_grid(self, monkeypatch):
+        spec = TestMemoKeys.shifted_grid()
+        inner, o = spec.family.inner, np.array(spec.family.offset)
+        integration._midpoint_values(inner, self.cfg)
+        points = count_points(monkeypatch)
+        mass, mom, err = integration.moment_grid(spec, self.cfg)
+        assert sum(points) == 64**2
+        m0, mom0, err0 = integration.moment_grid(inner, self.cfg)
+        assert (mass, err) == (m0, err0)
+        np.testing.assert_array_equal(mom, mom0 + o * m0)
+
+    def test_shifted_split_reads_the_inner_grid(self, monkeypatch):
+        spec = TestMemoKeys.shifted_grid()
+        inner, o = spec.family.inner, np.array(spec.family.offset)
+        integration._midpoint_values(inner, self.cfg)
+        a = np.array([0.6, 0.8])
+        c = 0.1 - float(a @ o)
+        points = count_points(monkeypatch)
+        got = integration.split_moments(spec, a, 0.1, self.cfg)
+        assert 0 < sum(points) <= 4 * straddling(inner, a, c, 32)
+        want = integration.split_moments(inner, a, c, self.cfg)
+        for side in ("plus", "minus"):
+            assert got["m_" + side] == want["m_" + side]
+            np.testing.assert_array_equal(got["b_" + side],
+                                          want["b_" + side] + o * want["m_" + side])
+
+    def test_integral_is_the_richardson_box(self):
+        spec = TestMemoKeys.grid()
+        lo, hi = fm.support_box(spec)
+        want = integration.richardson_box(lambda X: fm.evaluate_batch(spec, X), lo, hi, 32)
+        assert integration.integrate_grid(spec, self.cfg) == want
 
 
 def polytope(V):
